@@ -162,10 +162,13 @@ def read_matrix(path: str) -> MatrixFile:
         )
     mu = raw.get("mu")
     if mu is not None:
-        if not isinstance(mu, list) or len(mu) != n * n:
+        if not isinstance(mu, list) or len(mu) != n * n or not all(isinstance(e, str) for e in mu):
             raise MatrixFileError("'mu' must be a list of %d scalar strings" % (n * n))
     alpha = raw.get("alpha")
     beta = raw.get("beta")
+    for key, value in (("alpha", alpha), ("beta", beta)):
+        if value is not None and not isinstance(value, str):
+            raise MatrixFileError("'%s' must be a scalar string" % key)
     mf = MatrixFile(n, tag, list(entries), mu, alpha, beta)
     # every scalar string must parse under the declared field
     field = Field(tag)
@@ -417,6 +420,13 @@ def _print_mat(m: Mat) -> None:
 # parser
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ybtk",
@@ -461,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--braid", required=True, help="braid word, e.g. 'strands=2 s1 s1 s1'")
     p.add_argument(
         "--max-strands",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_MAX_STRANDS,
         help="strand cap for the braid representation (default %d)" % DEFAULT_MAX_STRANDS,
     )

@@ -52,9 +52,12 @@ __all__ = [
     "tangle_eval",
     "closure_word",
     "DEFAULT_MAX_STRANDS",
+    "MAX_TANGLE_ENTRIES",
 ]
 
 DEFAULT_MAX_STRANDS = 12
+# the largest braid state the default strand cap allows at n = 2
+MAX_TANGLE_ENTRIES = 4 ** DEFAULT_MAX_STRANDS
 
 
 @dataclass(frozen=True)
@@ -127,55 +130,27 @@ def writhe(word: BraidWord) -> int:
 
 def braid_rep(s: Tensor4, word: BraidWord, max_strands: int = DEFAULT_MAX_STRANDS) -> Mat:
     """The product of slot lifts of S^{±1} over the letters, in order."""
+    steps = _transposed_letters(s, word, max_strands)
+    return Mat.identity(s.field, s.n ** word.strands).apply_slots(s.n, steps).transpose()
+
+
+def _transposed_letters(s: Tensor4, word: BraidWord, max_strands: int) -> list:
+    """Kernel steps whose product on the identity is rho(word)^T.
+
+    Building the transpose multiplies the letters in word order, as
+    rho = ((L1 L2) L3) ... would; the exact backend keeps no gcd, so the
+    association decides how far rational functions swell.
+    """
     m = word.strands
     if m > max_strands:
         raise StrandLimitError(
             "braid on %d strands exceeds the cap of %d (dimension n^m)"
             % (m, max_strands)
         )
-    n = s.n
-    field = s.field
-    s_inv = None
+    blocks = {1: s.mat.transpose()}
     if any(e < 0 for _, e in word.letters):
-        s_inv = s.inverse()
-    if not field.exact:
-        return _braid_rep_float(s, s_inv, word)
-    lifts: dict[tuple[int, int], Mat] = {}
-
-    def lift(i: int, eps: int) -> Mat:
-        key = (i, eps)
-        if key not in lifts:
-            block = s.mat if eps > 0 else s_inv.mat
-            left = Mat.identity(field, n ** (i - 1))
-            right = Mat.identity(field, n ** (m - i - 1))
-            lifts[key] = left.kron(block).kron(right)
-        return lifts[key]
-
-    out = Mat.identity(field, n ** m)
-    for i, eps in word.letters:
-        out = out @ lift(i, eps)
-    return out
-
-
-def _braid_rep_float(s: Tensor4, s_inv: Tensor4 | None, word: BraidWord) -> Mat:
-    # slot operators act on two adjacent tensor factors, so each letter
-    # is a batched 4x4 contraction, not a dense n^m matmul; the product
-    # is kept transposed so every step is a contiguous reshape
-    import numpy as np
-
-    n = s.n
-    m = word.strands
-    dim = n ** m
-    s_np = np.array(s.mat.tolist(), dtype=complex)
-    si_np = np.array(s_inv.mat.tolist(), dtype=complex) if s_inv is not None else None
-    rho_t = np.eye(dim, dtype=complex)
-    for i, eps in word.letters:
-        block = s_np if eps > 0 else si_np
-        left = n ** (i - 1)
-        right = dim // (left * n * n)
-        shaped = rho_t.reshape(left, n * n, right * dim)
-        rho_t = np.matmul(block.T, shaped).reshape(dim, dim)
-    return Mat(s.field, dim, dim, rho_t.T.copy())
+        blocks[-1] = s.inverse().mat.transpose()
+    return [(blocks[eps], i - 1) for i, eps in word.letters]
 
 
 @dataclass
@@ -212,11 +187,13 @@ class InvariantInput:
 def turaev(inp: InvariantInput, word: BraidWord,
            max_strands: int = DEFAULT_MAX_STRANDS) -> Scalar:
     """The normalised Markov trace of the braid word."""
-    rho = braid_rep(inp.s, word, max_strands)
-    mu_m = inp.mu
-    for _ in range(word.strands - 1):
-        mu_m = mu_m.kron(inp.mu)
-    raw = rho.trace_product(mu_m)
+    # Tr(rho mu^(x m)) = Tr((mu^(x m) rho)^T): mu^T on every slot of the
+    # identity, then the transposed letters; mu first keeps the exact
+    # state as sparse as mu^(x m)
+    mu_t = inp.mu.transpose()
+    steps = [(mu_t, j) for j in range(word.strands)]
+    steps += _transposed_letters(inp.s, word, max_strands)
+    raw = Mat.identity(inp.field, inp.n ** word.strands).apply_slots(inp.n, steps).trace()
     e = word.writhe()
     norm = scalar_invert(inp.alpha) ** e if e >= 0 else inp.alpha ** (-e)
     norm = norm * scalar_invert(inp.beta) ** word.strands
@@ -251,13 +228,12 @@ def braidings(r: Tensor4) -> FundamentalBraidings:
     """
     rt = second_inverse(r)
     r_inv = r.inverse()
-    f = r.field
-    n = r.n
-    c_vv = Tensor4.from_entry_fn(f, n, lambda x, y, c, d: r.entry(c, d, y, x))
-    c_dd = Tensor4.from_entry_fn(f, n, lambda x, y, c, d: r.entry(y, x, c, d))
-    c_vd = Tensor4.from_entry_fn(f, n, lambda x, y, c, d: rt.entry(c, x, y, d))
-    c_dv = Tensor4.from_entry_fn(f, n, lambda x, y, c, d: r_inv.entry(y, d, c, x))
-    return FundamentalBraidings(c_vv, c_dd, c_vd, c_dv)
+    return FundamentalBraidings(
+        r.permute_axes((3, 2, 0, 1)),  # c_vv^{xy}_{cd} = R^{cd}_{yx}
+        r.permute_axes((1, 0, 2, 3)),  # c_dd^{xy}_{cd} = R^{yx}_{cd}
+        rt.permute_axes((1, 2, 0, 3)),  # c_vd^{xy}_{cd} = R~^{cx}_{yd}
+        r_inv.permute_axes((3, 0, 2, 1)),  # c_dv^{xy}_{cd} = (R^-1)^{yd}_{cx}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +340,30 @@ def tangle_eval(word: TangleWord, inp: InvariantInput) -> Mat:
 
     The result maps the n^len(domain)-dimensional space to the
     n^len(codomain)-dimensional one; a closed word gives a 1 x 1 matrix.
+    Raises StrandLimitError, before allocating any state, when a state
+    would hold more than MAX_TANGLE_ENTRIES entries.
     """
-    word.layer_types()  # raises TangleTypeError on bad words
-    f = inp.field
+    width = len(word.layer_types()[0][0])  # raises TangleTypeError on bad words
+    n = inp.n
     cache: dict = {}
-    total: Mat | None = None
+    slots = peak = width
+    steps = []
     for layer in word.layers:
-        layer_mat = Mat.identity(f, 1)
-        for piece in layer:
-            layer_mat = layer_mat.kron(_piece_matrix(piece, inp, cache))
-        total = layer_mat if total is None else layer_mat @ total
-    return total
+        # right to left, so each piece's domain offset is still its slot
+        offset = sum(len(PIECES[piece][0]) for piece in layer)
+        for piece in reversed(layer):
+            dom, cod = PIECES[piece]
+            offset -= len(dom)
+            slots += len(cod) - len(dom)
+            peak = max(peak, slots)
+            if piece not in ("u", "d"):
+                steps.append((_piece_matrix(piece, inp, cache), offset))
+    if n ** (peak + width) > MAX_TANGLE_ENTRIES:
+        raise StrandLimitError(
+            "tangle state of n^%d entries exceeds the cap of %d entries"
+            % (peak + width, MAX_TANGLE_ENTRIES)
+        )
+    return Mat.identity(inp.field, n ** width).apply_slots(n, steps)
 
 
 def closure_word(word: BraidWord) -> TangleWord:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -468,7 +469,7 @@ class Field:
 
     def sym(self, name: str) -> Scalar:
         if not self.exact:
-            raise UnknownSymbolError("the float backend has no symbols")
+            raise UnknownSymbolError("unknown symbol %r (float backend has no symbols)" % name)
         if name not in self.tag.indeterminates:
             raise UnknownSymbolError("unknown symbol %r" % name)
         return RatFun.gen(self.tag.indeterminates, name)
@@ -490,7 +491,7 @@ class Field:
         return 1j
 
     def parse(self, text: str) -> Scalar:
-        return parse_scalar(text, self.tag)
+        return parse_scalar(text, self)
 
     def format(self, x: Scalar) -> str:
         return format_scalar(x)
@@ -639,10 +640,10 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
-    def __init__(self, tokens, domain):
+    def __init__(self, tokens, field: Field):
         self.toks = tokens
         self.pos = 0
-        self.dom = domain
+        self.field = field
 
     def _peek(self, k=0):
         j = self.pos + k
@@ -665,7 +666,10 @@ class _Parser:
         t = self._peek()
         if t == ("op", "/"):
             self.pos += 1
-            v = self.dom.div(v, self._part())
+            d = self._part()
+            if d == 0:
+                raise ZeroDivisionError("division by zero in scalar text")
+            v = v / d
         if self._peek() is not None:
             raise ScalarSyntaxError("trailing input after scalar")
         return v
@@ -686,15 +690,15 @@ class _Parser:
             negate = t[1] == "-"
         v = self._term()
         if negate:
-            v = self.dom.neg(v)
+            v = -v
         while True:
             t = self._peek()
             if t == ("op", "+"):
                 self.pos += 1
-                v = self.dom.add(v, self._term())
+                v = v + self._term()
             elif t == ("op", "-"):
                 self.pos += 1
-                v = self.dom.sub(v, self._term())
+                v = v - self._term()
             else:
                 return v
 
@@ -704,9 +708,9 @@ class _Parser:
             t = self._peek()
             if t == ("op", "*"):
                 self.pos += 1
-                v = self.dom.mul(v, self._factor())
+                v = v * self._factor()
             elif t is not None and t[0] in ("int", "dec", "name"):
-                v = self.dom.mul(v, self._factor())
+                v = v * self._factor()
             else:
                 return v
 
@@ -719,15 +723,15 @@ class _Parser:
                 den = self._next()[1]
                 if den == 0:
                     raise ZeroDivisionError("rational literal with zero denominator")
-                return self.dom.const(Fraction(t[1], den))
-            return self.dom.const(Fraction(t[1]))
+                return self.field.from_fraction(Fraction(t[1], den))
+            return self.field.from_int(t[1])
         if t[0] == "dec":
-            return self.dom.const(t[1])
+            return self.field.from_fraction(t[1])
         if t[0] == "name":
-            base = self.dom.imag() if t[1] == "i" else self.dom.sym(t[1])
+            base = self.field.imag_unit() if t[1] == "i" else self.field.sym(t[1])
             if self._peek() == ("op", "^"):
                 self.pos += 1
-                return self.dom.pow(base, self._signed_int())
+                return base ** self._signed_int()
             return base
         raise ScalarSyntaxError("unexpected token %r" % (t,))
 
@@ -742,102 +746,13 @@ class _Parser:
         return sign * t[1]
 
 
-class _ExactDomain:
-    def __init__(self, tag: FieldTag):
-        self.tag = tag
-        self.syms = tag.indeterminates
-
-    def const(self, fr: Fraction) -> RatFun:
-        return RatFun.from_fraction(self.syms, fr)
-
-    def imag(self) -> RatFun:
-        if not self.tag.imaginary:
-            raise UnknownSymbolError("the imaginary unit is not enabled for this field")
-        return RatFun.from_gauss(self.syms, 0, 1)
-
-    def sym(self, name: str) -> RatFun:
-        if name not in self.syms:
-            raise UnknownSymbolError("unknown symbol %r" % name)
-        return RatFun.gen(self.syms, name)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        if b.is_zero:
-            raise ZeroDivisionError("division by zero in scalar text")
-        return a / b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def pow(a, k):
-        return a ** k
-
-
-class _FloatDomain:
-    @staticmethod
-    def const(fr: Fraction) -> complex:
-        return complex(fr)
-
-    @staticmethod
-    def imag() -> complex:
-        return 1j
-
-    @staticmethod
-    def sym(name: str) -> complex:
-        raise UnknownSymbolError("unknown symbol %r (float backend has no symbols)" % name)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in scalar text")
-        return a / b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def pow(a, k):
-        if k < 0 and a == 0:
-            raise ZeroDivisionError("zero raised to a negative power")
-        return a ** k
-
-
 def parse_scalar(text: str, tag: FieldTag | Field) -> Scalar:
     """Parse scalar text under the given field tag."""
-    if isinstance(tag, Field):
-        tag = tag.tag
-    domain = _ExactDomain(tag) if tag.backend == "exact" else _FloatDomain()
+    field = tag if isinstance(tag, Field) else Field(tag)
     tokens = _tokenize(text)
     if not tokens:
         raise ScalarSyntaxError("empty scalar text")
-    return _Parser(tokens, domain).parse()
+    return _Parser(tokens, field).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -884,9 +799,11 @@ def _format_poly(p: _Poly, syms: tuple) -> str:
 
 def _format_complex(z: complex) -> str:
     def num(x: float) -> str:
-        if x == int(x) and abs(x) < 1e15:
+        # positional digits of the shortest repr, which the grammar reads
+        # back to the same float (it has no exponent notation)
+        if x == int(x):
             return str(int(x))
-        return repr(x)
+        return format(Decimal(repr(x)), "f")
 
     re, im = z.real, z.imag
     if im == 0:

@@ -11,6 +11,21 @@ the printed 4x4 matrices of the n=2 catalog are read in the basis order
 The two transposes act entrywise as ``(A^{t1})^{ab}_{cd} = A^{cb}_{ad}``
 and ``(A^{t2})^{ab}_{cd} = A^{ad}_{cb}``; the second partial trace is
 ``Tr2(A)^a_c = sum_d A^{ad}_{cd}``.
+
+Two primitives carry all slot arithmetic, on both backends:
+
+* ``Mat.apply_slots(n, steps)`` is the slot-local kernel.  The rows of
+  the matrix are a state in ``(C^n)^(x k)``, slot 0 the most significant
+  factor.  A step ``(op, first)`` applies the ``n^b x n^a`` matrix
+  ``op`` to the ``a`` factors starting at slot ``first`` and puts ``b``
+  factors in their place, so cups (``a = 0``) and caps (``b = 0``) change
+  the factor count.  Steps run in list order, each left-multiplying the
+  state; a product ``L1 L2 ... Lk`` is the step list ``Lk, ..., L1``
+  applied to the identity.
+* ``Mat.permute_axes(n, perm)`` reads the row factors and then the
+  column factors as tensor axes and permutes them like numpy's
+  ``transpose``, through one integer index array.  The transposes, the
+  flip, ``R13`` and the braidings are such permutations.
 """
 
 from __future__ import annotations
@@ -23,6 +38,11 @@ from .errors import SingularMatrixError
 from .scalars import Field, Scalar, substitute
 
 __all__ = ["Mat", "Tensor4", "permutation", "embed", "yb_sides"]
+
+# Column-block size of the float kernel, in entries: the steps run one
+# block of columns at a time, so a call holds its input, its output and
+# one 16 MB block instead of three full states.
+_BLOCK_ENTRIES = 1 << 20
 
 
 class Mat:
@@ -215,6 +235,89 @@ class Mat:
                             row[j * other.cols + l] = x * y
         return Mat(self.field, rows, cols, out)
 
+    # -- slot kernel and axis gather ---------------------------------------
+
+    def apply_slots(self, n: int, steps) -> "Mat":
+        """Left-apply slot-local ``(op, first)`` steps to the row factors.
+
+        See the module docstring for the slot convention.  The exact
+        backend keeps the state as dicts of nonzero entries, so each step
+        costs the nonzeros of the state times those of the operator.
+        """
+        rows = self.rows
+        plan = []
+        for op, first in steps:
+            left = n ** first
+            rest, bad = divmod(rows, left * op.cols)
+            if bad or first < 0:
+                raise ValueError("step does not fit the row factors")
+            plan.append((op, left, rest))
+            rows = left * op.rows * rest
+        if not self.field.exact:
+            out = np.empty((rows, self.cols), dtype=complex)
+            width = max(1, _BLOCK_ENTRIES // max(self.rows, rows))
+            for c0 in range(0, self.cols, width):
+                block = self._a[:, c0:c0 + width]
+                w = block.shape[1]
+                for op, left, _ in plan:
+                    block = np.matmul(op._a, block.reshape(left, op.cols, -1)).reshape(-1, w)
+                out[:, c0:c0 + width] = block
+            return Mat(self.field, rows, self.cols, out)
+        state = {}
+        for r, row in enumerate(self._a):
+            nonzero = {c: x for c, x in enumerate(row) if not x.is_zero}
+            if nonzero:
+                state[r] = nonzero
+        for op, _, rest in plan:
+            k_in, k_out = op.cols, op.rows
+            columns = [[(i, op._a[i][j]) for i in range(k_out) if not op._a[i][j].is_zero]
+                       for j in range(k_in)]
+            new: dict = {}
+            for r, row in state.items():
+                high, low = divmod(r, rest)
+                block_idx, mid = divmod(high, k_in)
+                for i, v in columns[mid]:
+                    t = (block_idx * k_out + i) * rest + low
+                    target = new.get(t)
+                    if target is None:
+                        new[t] = {c: v * x for c, x in row.items()}
+                        continue
+                    for c, x in row.items():
+                        y = target.get(c)
+                        if y is None:
+                            target[c] = v * x
+                        else:
+                            y = y + v * x
+                            if y.is_zero:
+                                del target[c]
+                            else:
+                                target[c] = y
+            state = new
+        zero = self.field.zero
+        out = [[zero] * self.cols for _ in range(rows)]
+        for r, row in state.items():
+            dense = out[r]
+            for c, x in row.items():
+                dense[c] = x
+        return Mat(self.field, rows, self.cols, out)
+
+    def permute_axes(self, n: int, perm) -> "Mat":
+        """Permute the tensor axes (row factors, then column factors).
+
+        Axis ``j`` of the result is axis ``perm[j]`` of ``self``, as in
+        ``numpy.transpose``; the shape stays the same.
+        """
+        k = len(perm)
+        if n ** k != self.rows * self.cols:
+            raise ValueError("axis permutation does not match the matrix size")
+        idx = np.arange(n ** k).reshape((n,) * k).transpose(perm).ravel()
+        rows, cols = self.rows, self.cols
+        if not self.field.exact:
+            return Mat(self.field, rows, cols, self._a.reshape(-1)[idx].reshape(rows, cols))
+        flat = [x for row in self._a for x in row]
+        vals = [flat[j] for j in idx.tolist()]
+        return Mat(self.field, rows, cols, [vals[i * cols:(i + 1) * cols] for i in range(rows)])
+
     # -- comparisons ----------------------------------------------------
 
     def max_abs(self) -> float:
@@ -355,15 +458,15 @@ class Tensor4:
 
     # -- reindexings ------------------------------------------------------
 
+    def permute_axes(self, perm) -> "Tensor4":
+        """The operator with entries permuted as the axes ``(a, b, c, d)`` of ``T^{ab}_{cd}``."""
+        return Tensor4(self.n, self.mat.permute_axes(self.n, perm))
+
     def t1(self) -> "Tensor4":
-        return Tensor4.from_entry_fn(
-            self.field, self.n, lambda a, b, c, d: self.entry(c, b, a, d)
-        )
+        return self.permute_axes((2, 1, 0, 3))
 
     def t2(self) -> "Tensor4":
-        return Tensor4.from_entry_fn(
-            self.field, self.n, lambda a, b, c, d: self.entry(a, d, c, b)
-        )
+        return self.permute_axes((0, 3, 2, 1))
 
     def transpose(self, kind: str) -> "Tensor4":
         if kind == "t1":
@@ -418,26 +521,13 @@ class Tensor4:
         return Mat.identity(self.field, self.n).kron(self.mat)
 
     def lift13(self) -> Mat:
-        n = self.n
-
-        def fn(i, j):
-            a, rest = divmod(i, n * n)
-            b, c = divmod(rest, n)
-            d, rest2 = divmod(j, n * n)
-            e, f = divmod(rest2, n)
-            if b != e:
-                return self.field.zero
-            return self.entry(a, c, d, f)
-
-        return Mat.build(self.field, n ** 3, n ** 3, fn)
+        # R13 = P23 R12 P23: swap the second and third factors on both sides
+        return self.lift12().permute_axes(self.n, (0, 2, 1, 3, 5, 4))
 
 
 def permutation(field: Field, n: int) -> Tensor4:
     """The flip operator: P^{ab}_{cd} = 1 iff a == d and b == c."""
-    one, zero = field.one, field.zero
-    return Tensor4.from_entry_fn(
-        field, n, lambda a, b, c, d: one if (a == d and b == c) else zero
-    )
+    return Tensor4(n, Mat.identity(field, n * n).permute_axes(n, (0, 1, 3, 2)))
 
 
 def embed(mu: Mat, which: str) -> Tensor4:
@@ -465,7 +555,10 @@ def yb_sides(r: Tensor4) -> tuple[Mat, Mat]:
     Returns (R12 R13 R23, R23 R13 R12) as n^3 x n^3 matrices in the
     fixed three-slot flattening.
     """
-    r12 = r.lift12()
-    r13 = r.lift13()
-    r23 = r.lift23()
-    return r12 @ r13 @ r23, r23 @ r13 @ r12
+    n = r.n
+    p = permutation(r.field, n).mat
+    r12, r23 = [(r.mat, 0)], [(r.mat, 1)]
+    r13 = [(p, 1), (r.mat, 0), (p, 1)]
+    eye = Mat.identity(r.field, n ** 3)
+    # a product's rightmost factor is its first step
+    return eye.apply_slots(n, r23 + r13 + r12), eye.apply_slots(n, r12 + r13 + r23)

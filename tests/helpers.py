@@ -44,3 +44,76 @@ def rand_invertible(rng, field: Field, n, tries=50):
 
 def rand_tensor4(rng, field: Field, n, density=1.0):
     return Tensor4(n, rand_mat(rng, field, n * n, n * n, density))
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: slot operators lifted to the whole space by
+# Kronecker products and multiplied densely
+
+
+def kron_braid_rep(s: Tensor4, word) -> Mat:
+    """The braid representation as a product of I (x) S^{±1} (x) I lifts."""
+    field, n, m = s.field, s.n, word.strands
+    out = Mat.identity(field, n ** m)
+    for i, eps in word.letters:
+        block = s.mat if eps > 0 else s.inverse().mat
+        left = Mat.identity(field, n ** (i - 1))
+        right = Mat.identity(field, n ** (m - i - 1))
+        out = out @ left.kron(block).kron(right)
+    return out
+
+
+def kron_piece(piece: str, s: Tensor4, mu: Mat) -> Mat:
+    """The matrix of one tangle piece, written out from its definition."""
+    f, n = s.field, s.n
+    if piece in ("u", "d"):
+        return Mat.identity(f, n)
+    if piece in ("x+", "x-"):
+        return s.mat if piece == "x+" else s.inverse().mat
+    mu_inv = mu.inverse()
+    vec = {
+        "cup": lambda a, b: f.one if a == b else f.zero,
+        "cap": lambda a, b: f.one if a == b else f.zero,
+        "cup-": lambda a, b: mu_inv.at(b, a),
+        "cap-": lambda a, b: mu.at(b, a),
+    }[piece]
+    if piece.startswith("cup"):
+        return Mat.build(f, n * n, 1, lambda i, _: vec(i // n, i % n))
+    return Mat.build(f, 1, n * n, lambda _, j: vec(j // n, j % n))
+
+
+def kron_layer(layer, s: Tensor4, mu: Mat) -> Mat:
+    """One tangle layer as the Kronecker product of its pieces."""
+    out = Mat.identity(s.field, 1)
+    for piece in layer:
+        out = out.kron(kron_piece(piece, s, mu))
+    return out
+
+
+def kron_tangle_eval(word, s: Tensor4, mu: Mat) -> Mat:
+    """A tangle word as the product of its whole-layer Kronecker products."""
+    total = None
+    for layer in word.layers:
+        layer_mat = kron_layer(layer, s, mu)
+        total = layer_mat if total is None else layer_mat @ total
+    return total
+
+
+def entrywise_lift13(r: Tensor4) -> Mat:
+    """R13 on n^3, entry by entry: R^{ac}_{df} where b == e, else 0."""
+    n = r.n
+
+    def fn(i, j):
+        a, b, c = i // (n * n), i // n % n, i % n
+        d, e, f = j // (n * n), j // n % n, j % n
+        return r.entry(a, c, d, f) if b == e else r.field.zero
+
+    return Mat.build(r.field, n ** 3, n ** 3, fn)
+
+
+def kron_yb_sides(r: Tensor4):
+    """(R12 R13 R23, R23 R13 R12) from Kronecker lifts and an entrywise R13."""
+    eye = Mat.identity(r.field, r.n)
+    r12, r23 = r.mat.kron(eye), eye.kron(r.mat)
+    r13 = entrywise_lift13(r)
+    return r12 @ r13 @ r23, r23 @ r13 @ r12

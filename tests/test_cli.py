@@ -86,6 +86,15 @@ def test_read_matrix_structural_errors(tmp_path):
         read_matrix(write_json(tmp_path / "badf.json", bad))
 
 
+def test_read_matrix_rejects_numeric_enhancement_data(tmp_path, capsys):
+    for key, value in (("mu", [1, 0, 0, 1]), ("alpha", 1), ("beta", 2.0)):
+        path = write_json(tmp_path / ("num_%s.json" % key), dict(TRIVIAL, **{key: value}))
+        with pytest.raises(MatrixFileError, match=key):
+            read_matrix(path)
+        assert main(["verify", path]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_write_matrix_float_tag():
     mf = MatrixFile(1, FieldTag("float", (), True, 1e-7), ["2"])
     text = write_matrix(mf)
@@ -205,6 +214,23 @@ def test_invariant_strand_cap_exit3(trivial_file, capsys):
         main(["invariant", trivial_file, "--braid", "strands=5", "--max-strands", "5"])
         == 0
     )
+
+
+def test_invariant_max_strands_below_one_exit2(trivial_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["invariant", trivial_file, "--braid", "strands=2", "--max-strands", "-3"])
+    assert exc.value.code == 2
+    assert "--max-strands" in capsys.readouterr().err
+
+
+def test_tangle_state_cap_exit3(tmp_path, trivial_file, capsys):
+    word = tmp_path / "cups.txt"
+    word.write_text(
+        "\n".join(",".join(["u"] * j + ["cup"] + ["d"] * j) for j in range(13)) + "\n",
+        encoding="utf-8",
+    )
+    assert main(["tangle", trivial_file, "--word", str(word)]) == 3
+    assert "resource cap" in capsys.readouterr().err
 
 
 def test_tangle_circle(tmp_path, trivial_file, capsys):

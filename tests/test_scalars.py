@@ -142,6 +142,13 @@ def test_format_float_round_trip():
         assert parse_scalar(txt, C.tag) == z
 
 
+def test_format_float_round_trip_without_exponents():
+    for z in [complex(1e-16, 2), complex(1e20, -3.5e-8), complex(-3.5e-8, 1e-16), 1e300j]:
+        txt = format_scalar(z)
+        assert "e" not in txt
+        assert parse_scalar(txt, C.tag) == z
+
+
 # ---------------------------------------------------------------------------
 # inversion and square roots
 
