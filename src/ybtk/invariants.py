@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from .errors import ScalarSyntaxError, StrandLimitError, TangleTypeError
 from .rmatrix import second_inverse
 from .scalars import Field, Scalar, scalar_invert
-from .tensors import Mat, Tensor4
+from .tensors import Mat, Tensor4, slot_trace
 
 __all__ = [
     "BraidWord",
@@ -193,7 +193,7 @@ def turaev(inp: InvariantInput, word: BraidWord,
     mu_t = inp.mu.transpose()
     steps = [(mu_t, j) for j in range(word.strands)]
     steps += _transposed_letters(inp.s, word, max_strands)
-    raw = Mat.identity(inp.field, inp.n ** word.strands).apply_slots(inp.n, steps).trace()
+    raw = slot_trace(inp.field, inp.n, word.strands, steps)
     e = word.writhe()
     norm = scalar_invert(inp.alpha) ** e if e >= 0 else inp.alpha ** (-e)
     norm = norm * scalar_invert(inp.beta) ** word.strands

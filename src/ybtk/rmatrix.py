@@ -491,26 +491,21 @@ def slot_identities(r: Tensor4) -> dict[str, AxiomResult]:
 
 
 def contraction_identity(r: Tensor4) -> AxiomResult:
-    """Both pairings of R with its second inverse contract to deltas."""
+    """Both pairings of R with its second inverse contract to deltas.
+
+    The pairing sum_ab F^{ib}_{aj} G^{ak}_{lb} is the matrix product of
+    F^{t2} (rows ij, columns ab) and G read with rows ab and columns kl;
+    gathered back to rows ik and columns lj, the deltas are the identity.
+    """
     rt = second_inverse(r)
-    n = r.n
-    f = r.field
+    eye = Mat.identity(r.field, r.n * r.n)
 
-    def contracted(first: Tensor4, second: Tensor4):
-        def fn(i, k, l, j):
-            acc = f.zero
-            for a in range(n):
-                for b in range(n):
-                    acc = acc + first.entry(i, b, a, j) * second.entry(a, k, l, b)
-            return acc
+    def contracted(first: Tensor4, second: Tensor4) -> Mat:
+        product = first.t2().mat @ second.permute_axes((0, 3, 1, 2)).mat
+        return product.permute_axes(r.n, (0, 2, 3, 1))
 
-        return Tensor4.from_entry_fn(f, n, fn)
-
-    target = Tensor4.from_entry_fn(
-        f, n, lambda i, k, l, j: f.one if (i == l and k == j) else f.zero
-    )
-    first = _compare(contracted(rt, r).mat, target.mat, "R~ then R")
-    second = _compare(contracted(r, rt).mat, target.mat, "R then R~")
+    first = _compare(contracted(rt, r), eye, "R~ then R")
+    second = _compare(contracted(r, rt), eye, "R then R~")
     return _both(first, second)
 
 

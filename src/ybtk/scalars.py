@@ -20,10 +20,13 @@ gcd reduction.
 Scalar text grammar (also used by the matrix file format)::
 
     rational := int | int '/' int | decimal
-    factor   := rational | 'i' ('^' sint)? | sym ('^' sint)?
+    factor   := rational | 'i' ('^' sint)? | sym ('^' sint)? | '(' sum ')'
     term     := factor (('*')? factor)*
     sum      := ('+'|'-')? term (('+'|'-') term)*
-    scalar   := part ('/' part)?        where part := sum | '(' sum ')'
+    scalar   := sum ('/' sum)?
+
+A quotient stands only at the top level, and a parenthesised sum takes
+no exponent; ``2*(q+1)`` and ``(q+1)(q-1)`` are products.
 
 Lexical rule: ``int '/' int`` in factor position always folds into a
 rational literal, so ``3/2q`` means ``(3/2)*q``.  The formatter always
@@ -662,25 +665,17 @@ class _Parser:
             raise ScalarSyntaxError("expected %r" % ch)
 
     def parse(self):
-        v = self._part()
+        v = self._sum()
         t = self._peek()
         if t == ("op", "/"):
             self.pos += 1
-            d = self._part()
+            d = self._sum()
             if d == 0:
                 raise ZeroDivisionError("division by zero in scalar text")
             v = v / d
         if self._peek() is not None:
             raise ScalarSyntaxError("trailing input after scalar")
         return v
-
-    def _part(self):
-        if self._peek() == ("op", "("):
-            self.pos += 1
-            v = self._sum()
-            self._expect_op(")")
-            return v
-        return self._sum()
 
     def _sum(self):
         negate = False
@@ -709,7 +704,7 @@ class _Parser:
             if t == ("op", "*"):
                 self.pos += 1
                 v = v * self._factor()
-            elif t is not None and t[0] in ("int", "dec", "name"):
+            elif t is not None and (t[0] in ("int", "dec", "name") or t == ("op", "(")):
                 v = v * self._factor()
             else:
                 return v
@@ -733,6 +728,16 @@ class _Parser:
                 self.pos += 1
                 return base ** self._signed_int()
             return base
+        if t == ("op", "("):
+            v = self._sum()
+            if self._peek() == ("op", "/"):
+                raise ScalarSyntaxError(
+                    "a quotient may not stand inside parentheses; "
+                    "write one top-level numerator/denominator")
+            self._expect_op(")")
+            if self._peek() == ("op", "^"):
+                raise ScalarSyntaxError("a parenthesised sum takes no exponent")
+            return v
         raise ScalarSyntaxError("unexpected token %r" % (t,))
 
     def _signed_int(self):

@@ -26,10 +26,26 @@ Two primitives carry all slot arithmetic, on both backends:
   column factors as tensor axes and permutes them like numpy's
   ``transpose``, through one integer index array.  The transposes, the
   flip, ``R13`` and the braidings are such permutations.
+
+``slot_trace(field, n, m, steps)`` is the trace of the product a step
+list builds on the identity of ``(C^n)^(x m)``, the Markov trace behind
+``turaev``.  The float backend runs the steps on column blocks of the
+identity and keeps only each block's diagonal entries, so no full state
+is allocated; the exact backend sums the diagonal of its sparse state.
+
+Float states are processed in column blocks of ``_BLOCK_ENTRIES``
+entries.  One block, or a single usable core, runs inline through
+``np.matmul``.  Several blocks run on a module-level thread pool with one
+worker per usable core, each step a few numpy ufunc calls over the
+operator's nonzero entries; results are combined in block order, so
+repeated calls agree bitwise.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from typing import Callable
 
 import numpy as np
@@ -39,10 +55,14 @@ from .scalars import Field, Scalar, substitute
 
 __all__ = ["Mat", "Tensor4", "permutation", "embed", "yb_sides"]
 
-# Column-block size of the float kernel, in entries: the steps run one
-# block of columns at a time, so a call holds its input, its output and
-# one 16 MB block instead of three full states.
-_BLOCK_ENTRIES = 1 << 20
+# Column-block size of the float kernel, in entries (2 MB; 2^16 to 2^18
+# ran alike): a call holds its input, its output and a few blocks per
+# thread instead of three full states, and a trace holds no full state.
+# Pooled steps use numpy ufuncs, not np.matmul: BLAS runs its own
+# threads, and np.matmul on two Python threads ran no faster than on one.
+_BLOCK_ENTRIES = 1 << 17
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL = None
 
 
 class Mat:
@@ -244,58 +264,23 @@ class Mat:
         backend keeps the state as dicts of nonzero entries, so each step
         costs the nonzeros of the state times those of the operator.
         """
-        rows = self.rows
-        plan = []
-        for op, first in steps:
-            left = n ** first
-            rest, bad = divmod(rows, left * op.cols)
-            if bad or first < 0:
-                raise ValueError("step does not fit the row factors")
-            plan.append((op, left, rest))
-            rows = left * op.rows * rest
+        plan, rows, peak = _plan(n, self.rows, steps)
         if not self.field.exact:
             out = np.empty((rows, self.cols), dtype=complex)
-            width = max(1, _BLOCK_ENTRIES // max(self.rows, rows))
-            for c0 in range(0, self.cols, width):
-                block = self._a[:, c0:c0 + width]
-                w = block.shape[1]
-                for op, left, _ in plan:
-                    block = np.matmul(op._a, block.reshape(left, op.cols, -1)).reshape(-1, w)
-                out[:, c0:c0 + width] = block
+
+            def fill(c0, c1, chain):
+                out[:, c0:c1] = chain(self._a[:, c0:c1])
+
+            _column_blocks(plan, peak, self.cols, fill)
             return Mat(self.field, rows, self.cols, out)
         state = {}
         for r, row in enumerate(self._a):
             nonzero = {c: x for c, x in enumerate(row) if not x.is_zero}
             if nonzero:
                 state[r] = nonzero
-        for op, _, rest in plan:
-            k_in, k_out = op.cols, op.rows
-            columns = [[(i, op._a[i][j]) for i in range(k_out) if not op._a[i][j].is_zero]
-                       for j in range(k_in)]
-            new: dict = {}
-            for r, row in state.items():
-                high, low = divmod(r, rest)
-                block_idx, mid = divmod(high, k_in)
-                for i, v in columns[mid]:
-                    t = (block_idx * k_out + i) * rest + low
-                    target = new.get(t)
-                    if target is None:
-                        new[t] = {c: v * x for c, x in row.items()}
-                        continue
-                    for c, x in row.items():
-                        y = target.get(c)
-                        if y is None:
-                            target[c] = v * x
-                        else:
-                            y = y + v * x
-                            if y.is_zero:
-                                del target[c]
-                            else:
-                                target[c] = y
-            state = new
         zero = self.field.zero
         out = [[zero] * self.cols for _ in range(rows)]
-        for r, row in state.items():
+        for r, row in _exact_steps(state, plan).items():
             dense = out[r]
             for c, x in row.items():
                 dense[c] = x
@@ -423,6 +408,154 @@ class Mat:
 
     def __repr__(self):
         return "Mat(%dx%d over %s)" % (self.rows, self.cols, self.field.tag.backend)
+
+
+def _plan(n: int, rows: int, steps):
+    """``(op, left, rest)`` per step, the final row count and the largest one."""
+    plan = []
+    peak = rows
+    for op, first in steps:
+        left = n ** first
+        rest, bad = divmod(rows, left * op.cols)
+        if bad or first < 0:
+            raise ValueError("step does not fit the row factors")
+        plan.append((op, left, rest))
+        rows = left * op.rows * rest
+        if rows > peak:
+            peak = rows
+    return plan, rows, peak
+
+
+def _exact_steps(state: dict, plan) -> dict:
+    """Run an exact plan on a state of ``{row: {col: nonzero}}`` dicts."""
+    for op, _, rest in plan:
+        k_in, k_out = op.cols, op.rows
+        columns = [[(i, op._a[i][j]) for i in range(k_out) if not op._a[i][j].is_zero]
+                   for j in range(k_in)]
+        new: dict = {}
+        for r, row in state.items():
+            high, low = divmod(r, rest)
+            block_idx, mid = divmod(high, k_in)
+            for i, v in columns[mid]:
+                t = (block_idx * k_out + i) * rest + low
+                target = new.get(t)
+                if target is None:
+                    new[t] = {c: v * x for c, x in row.items()}
+                    continue
+                for c, x in row.items():
+                    y = target.get(c)
+                    if y is None:
+                        target[c] = v * x
+                    else:
+                        y = y + v * x
+                        if y.is_zero:
+                            del target[c]
+                        else:
+                            target[c] = y
+        state = new
+    return state
+
+
+def _matmul_steps(plan, block):
+    """Run a float plan on a ``(rows, w)`` column block through ``np.matmul``."""
+    w = block.shape[1]
+    for op, left, _ in plan:
+        block = np.matmul(op._a, block.reshape(left, op.cols, -1)).reshape(-1, w)
+    return block
+
+
+def _term_steps(plan, peak: int):
+    """A float plan as BLAS-free ufunc calls on a column block.
+
+    Each step sets ``out[:, i, :] = sum_j op[i, j] x[:, j, :]`` over the
+    nonzero ``op[i, j]``, which are listed once here for every block.  The
+    steps alternate between two buffers of ``peak`` rows that each thread
+    allocates once per call.
+    """
+    terms = [(left, op.cols, [[(j, v) for j, v in enumerate(row) if v] for row in op._a.tolist()])
+             for op, left, _ in plan]
+
+    local = threading.local()
+
+    def run(block):
+        w = block.shape[1]
+        bufs = getattr(local, "bufs", None)
+        if bufs is None or len(bufs[0]) < peak * w:
+            bufs = local.bufs = [np.empty(peak * w, dtype=complex) for _ in range(3)]
+        for k, (left, k_in, op_rows) in enumerate(terms):
+            x = block.reshape(left, k_in, -1)
+            inner = x.shape[2]
+            out = bufs[k % 2][:left * len(op_rows) * inner].reshape(left, len(op_rows), inner)
+            tmp = bufs[2][:left * inner].reshape(left, inner)
+            for i, row in enumerate(op_rows):
+                o = out[:, i]
+                if not row:
+                    o.fill(0)
+                    continue
+                j, v = row[0]
+                np.multiply(x[:, j], v, out=o)
+                for j, v in row[1:]:
+                    np.multiply(x[:, j], v, out=tmp)
+                    np.add(o, tmp, out=o)
+            block = out.reshape(-1, w)
+        return block
+
+    return run
+
+
+def _executor():
+    global _POOL
+    if _POOL is None:
+        # imported here: the import costs a few ms that one-block callers never need
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL = ThreadPoolExecutor(_WORKERS)
+    return _POOL
+
+
+def _column_blocks(plan, peak: int, cols: int, run) -> list:
+    """``run(c0, c1, chain)`` on each column block, results in block order.
+
+    ``chain`` applies the float plan to a ``(rows, c1 - c0)`` block.  With
+    several blocks and several cores the blocks go to the pool with the
+    term kernel; otherwise they run inline with ``np.matmul``.
+    """
+    width = max(1, _BLOCK_ENTRIES // peak)
+    starts = range(0, cols, width)
+    if len(starts) == 1 or _WORKERS == 1:
+        chain = functools.partial(_matmul_steps, plan)
+        return [run(c0, min(c0 + width, cols), chain) for c0 in starts]
+    chain = _term_steps(plan, peak)
+    return list(_executor().map(lambda c0: run(c0, min(c0 + width, cols), chain), starts))
+
+
+def slot_trace(field: Field, n: int, m: int, steps) -> Scalar:
+    """Tr of the product that ``steps`` build on the identity of (C^n)^(x m).
+
+    Equals ``Mat.identity(field, n**m).apply_slots(n, steps).trace()``
+    without the dense state: the float backend keeps the diagonal of each
+    column block, the exact one sums the diagonal of its sparse state.
+    """
+    dim = n ** m
+    plan, rows, peak = _plan(n, dim, steps)
+    if rows != dim:
+        raise ValueError("a traced product must keep the factor count")
+    if field.exact:
+        state = _exact_steps({r: {r: field.one} for r in range(dim)}, plan)
+        acc = field.zero
+        for r in sorted(state):
+            x = state[r].get(r)
+            if x is not None:
+                acc = acc + x
+        return acc
+
+    def diagonal(c0, c1, chain):
+        cols = np.arange(c1 - c0)
+        block = np.zeros((dim, c1 - c0), dtype=complex)
+        block[c0 + cols, cols] = 1
+        return complex(chain(block)[c0 + cols, cols].sum())
+
+    return sum(_column_blocks(plan, peak, dim, diagonal), 0j)
 
 
 class Tensor4:

@@ -117,3 +117,50 @@ def kron_yb_sides(r: Tensor4):
     r12, r23 = r.mat.kron(eye), eye.kron(r.mat)
     r13 = entrywise_lift13(r)
     return r12 @ r13 @ r23, r23 @ r13 @ r12
+
+
+def entrywise_contraction(first: Tensor4, second: Tensor4) -> Mat:
+    """sum_ab first^{ib}_{aj} second^{ak}_{lb}, entry (ik, lj), one entry at a time."""
+    n, f = first.n, first.field
+
+    def fn(row, col):
+        i, k = divmod(row, n)
+        l, j = divmod(col, n)
+        acc = f.zero
+        for a in range(n):
+            for b in range(n):
+                acc = acc + first.entry(i, b, a, j) * second.entry(a, k, l, b)
+        return acc
+
+    return Mat.build(f, n * n, n * n, fn)
+
+
+# ---------------------------------------------------------------------------
+# U_q(sl_n)
+
+
+def sl_n_entries(n: int) -> list[str]:
+    """Row-major n^2 x n^2 exact entries of the standard U_q(sl_n) R-matrix.
+
+    ``R^{ab}_{cd}`` is q on a = b = c = d, 1 on a = c != b = d, and
+    q - q^-1 on (a, b, c, d) = (i, j, j, i) with i < j.
+    """
+    out = []
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    if (a, b) == (c, d):
+                        out.append("q" if a == b else "1")
+                    elif (a, b) == (d, c) and a < b:
+                        out.append("q - q^-1")
+                    else:
+                        out.append("0")
+    return out
+
+
+def sl_n_r(field: Field, n: int) -> Tensor4:
+    """The U_q(sl_n) R-matrix over a field with the indeterminate q."""
+    values = [field.parse(x) for x in sl_n_entries(n)]
+    dim = n * n
+    return Tensor4(n, Mat.from_rows(field, [values[i * dim:(i + 1) * dim] for i in range(dim)]))

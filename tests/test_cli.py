@@ -95,6 +95,20 @@ def test_read_matrix_rejects_numeric_enhancement_data(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_parenthesised_product_entry_reads_and_nested_quotient_exits_2(tmp_path, capsys):
+    field = {"backend": "exact", "indeterminates": ["q"], "imaginary": False}
+    entries = list(TRIVIAL["entries"])
+    entries[0] = "(q+1)*(q-1)/(q^2 - 1)"
+    ok = write_json(tmp_path / "product.json", dict(TRIVIAL, field=field, entries=entries))
+    assert main(["verify", ok]) == 0
+    entries[0] = "2*(1/(q+1))"
+    bad = write_json(tmp_path / "nested.json", dict(TRIVIAL, field=field, entries=entries))
+    capsys.readouterr()
+    assert main(["verify", bad]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "numerator/denominator" in err
+
+
 def test_write_matrix_float_tag():
     mf = MatrixFile(1, FieldTag("float", (), True, 1e-7), ["2"])
     text = write_matrix(mf)

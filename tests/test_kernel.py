@@ -16,7 +16,8 @@ from ybtk.invariants import (
     turaev,
 )
 from ybtk.scalars import Field, exact_tag, float_tag
-from ybtk.tensors import Mat, Tensor4, yb_sides
+from ybtk import tensors
+from ybtk.tensors import Mat, Tensor4, slot_trace, yb_sides
 
 from helpers import (
     kron_braid_rep,
@@ -27,6 +28,7 @@ from helpers import (
     rand_invertible,
     rand_mat,
     rand_tensor4,
+    sl_n_r,
 )
 
 QQ = Field(exact_tag())
@@ -143,3 +145,85 @@ def test_tangle_cap_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# the slot trace: column blocks on the pool, inline, and exact
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """A fresh pool of two threads, whatever the host's core count."""
+    monkeypatch.setattr(tensors, "_WORKERS", 2)
+    monkeypatch.setattr(tensors, "_POOL", None)
+    yield
+    if tensors._POOL is not None:
+        tensors._POOL.shutdown()
+
+
+def kron_power(mu: Mat, m: int) -> Mat:
+    out = Mat.identity(mu.field, 1)
+    for _ in range(m):
+        out = out.kron(mu)
+    return out
+
+
+def sl2_float_input():
+    r = sl_n_r(Q, 2)
+    point = {"q": complex(1.3, 0.2)}
+    mu = Mat.from_rows(C, [[complex(1.3, 0.2), 0], [0, 1 / complex(1.3, 0.2)]])
+    return InvariantInput(Tensor4(2, r.mat.evaluate(point, C)), mu, C.one, C.one)
+
+
+@pytest.mark.parametrize("n,m", [(2, 9), (3, 6)])
+def test_float_turaev_over_several_blocks_matches_kron_reference(two_workers, n, m):
+    assert n ** (2 * m) > tensors._BLOCK_ENTRIES
+    rng = random.Random(600 + n)
+    s, mu = rand_pair(rng, C, n)
+    inp = InvariantInput(s, mu, C.one, C.one)
+    word = rand_word(rng, m, 6 if n == 2 else 3)
+    want = kron_braid_rep(s, word).trace_product(kron_power(mu, m))
+    got = turaev(inp, word)
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exact_slot_trace_matches_dense_trace(n):
+    rng = random.Random(700 + n)
+    s, mu = rand_pair(rng, QQ, n)
+    m = 4 if n == 2 else 3
+    word = rand_word(rng, m, 3 if n == 2 else 2)
+    steps = [(mu, j) for j in range(m)] + [
+        (s.mat if eps > 0 else s.inverse().mat, i - 1) for i, eps in word.letters]
+    dense = Mat.identity(QQ, n ** m).apply_slots(n, steps).trace()
+    assert slot_trace(QQ, n, m, steps) == dense
+
+
+def test_float_slot_trace_repeats_bitwise(two_workers):
+    inp = sl2_float_input()
+    word = rand_word(random.Random(800), 9, 12)
+    assert turaev(inp, word) == turaev(inp, word)
+
+
+def test_one_worker_runs_inline_with_the_same_value(two_workers, monkeypatch):
+    inp = sl2_float_input()
+    word = rand_word(random.Random(900), 9, 12)
+    pooled = turaev(inp, word)
+    monkeypatch.setattr(tensors, "_WORKERS", 1)
+    monkeypatch.setattr(tensors, "_executor", lambda: pytest.fail("the pool was used"))
+    inline = turaev(inp, word)
+    assert abs(inline - pooled) <= 1e-12 * max(1.0, abs(pooled))
+
+
+def test_float_turaev_holds_no_dense_state(two_workers):
+    # one 2^11 x 2^11 complex state alone is 64 MB
+    inp = sl2_float_input()
+    word = rand_word(random.Random(1000), 11, 25)
+    turaev(inp, BraidWord(11, word.letters[:1]))  # start the pool outside the measurement
+    tracemalloc.start()
+    try:
+        turaev(inp, word)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ybtk import rmatrix
 from ybtk.catalog import fixture
 from ybtk.errors import (
     NoMonomialRootError,
@@ -30,7 +31,7 @@ from ybtk.rmatrix import (
 from ybtk.scalars import Field, exact_tag, float_tag
 from ybtk.tensors import Mat, Tensor4, permutation
 
-from helpers import rand_invertible, rand_tensor4
+from helpers import entrywise_contraction, rand_invertible, rand_tensor4, sl_n_r
 
 QQ = Field(exact_tag())
 C = Field(float_tag())
@@ -403,6 +404,24 @@ def test_contraction_identity_random_float():
             continue
         found += 1
         assert res.ok and res.residual <= 1e-9
+
+
+def test_contraction_identity_sl3_exact_and_perturbed(monkeypatch):
+    field = Field(exact_tag("q"))
+    r = sl_n_r(field, 3)
+    assert contraction_identity(r).ok
+    rt = rmatrix.second_inverse(r)
+    bump = Mat.build(field, 9, 9, lambda i, j: field.one if (i, j) == (5, 7) else field.zero)
+    bad_rt = Tensor4(3, rt.mat + bump)
+    monkeypatch.setattr(rmatrix, "second_inverse", lambda _: bad_rt)
+    eye = Mat.identity(field, 9)
+    want = rmatrix._both(
+        rmatrix._compare(entrywise_contraction(bad_rt, r), eye, "R~ then R"),
+        rmatrix._compare(entrywise_contraction(r, bad_rt), eye, "R then R~"),
+    )
+    got = contraction_identity(r)
+    assert not got.ok
+    assert (got.witness, got.detail) == (want.witness, want.detail)
 
 
 @pytest.mark.parametrize("fid,variant", BIINVERTIBLE)

@@ -103,6 +103,22 @@ def test_parse_errors():
         q("q/(q - q)")
 
 
+def test_parenthesised_sums_are_factors():
+    assert q("2*(q+1)") == q("2q + 2")
+    assert q("(q+1)*(q-1)") == q("q^2 - 1")
+    assert q("(q+1)(q-1)") == q("q^2 - 1")
+    assert q("-(q+1)") == q("-q - 1")
+    assert q("2(q+1)/(q(q-1))") == q("(2q + 2)/(q^2 - q)")
+    assert parse_scalar("2*(1+i)", C.tag) == 2 + 2j
+
+
+def test_parenthesised_sum_errors_name_the_rule():
+    with pytest.raises(ScalarSyntaxError, match="top-level numerator/denominator"):
+        q("2*(1/(q+1))")
+    with pytest.raises(ScalarSyntaxError, match="no exponent"):
+        q("(q+1)^2")
+
+
 # ---------------------------------------------------------------------------
 # formatting round trips
 
