@@ -473,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-strands",
         type=_positive_int,
         default=DEFAULT_MAX_STRANDS,
-        help="strand cap for the braid representation (default %d)" % DEFAULT_MAX_STRANDS,
+        help="size cap for the braid representation: its n^m x n^m state may hold"
+        " at most 4^N entries, i.e. N strands at n = 2 (default %d)" % DEFAULT_MAX_STRANDS,
     )
     p.set_defaults(func=_cmd_invariant)
 

@@ -65,7 +65,7 @@ class BadBindingError(ToolkitError):
 
 
 class StrandLimitError(ToolkitError):
-    """A braid exceeds the configured strand cap."""
+    """A braid or tangle state exceeds the configured size cap."""
 
 
 class MatrixFileError(ToolkitError):

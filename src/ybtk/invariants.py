@@ -33,6 +33,7 @@ format: one layer per line, pieces comma-separated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ScalarSyntaxError, StrandLimitError, TangleTypeError
@@ -56,7 +57,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_STRANDS = 12
-# the largest braid state the default strand cap allows at n = 2
+# the largest braid state the default strand cap allows, at any n
 MAX_TANGLE_ENTRIES = 4 ** DEFAULT_MAX_STRANDS
 
 
@@ -141,11 +142,12 @@ def _transposed_letters(s: Tensor4, word: BraidWord, max_strands: int) -> list:
     rho = ((L1 L2) L3) ... would; the exact backend keeps no gcd, so the
     association decides how far rational functions swell.
     """
-    m = word.strands
-    if m > max_strands:
+    n, m = s.n, word.strands
+    # n^(2m) > 4^max_strands, in logarithms so that no huge power is formed
+    if m * math.log2(n) > max_strands:
         raise StrandLimitError(
-            "braid on %d strands exceeds the cap of %d (dimension n^m)"
-            % (m, max_strands)
+            "braid on %d strands at n = %d exceeds the cap of %d strands"
+            " (an n^m x n^m state over 4^%d entries)" % (m, n, max_strands, max_strands)
         )
     blocks = {1: s.mat.transpose()}
     if any(e < 0 for _, e in word.letters):
@@ -189,7 +191,8 @@ def turaev(inp: InvariantInput, word: BraidWord,
     """The normalised Markov trace of the braid word."""
     # Tr(rho mu^(x m)) = Tr((mu^(x m) rho)^T): mu^T on every slot of the
     # identity, then the transposed letters; mu first keeps the exact
-    # state as sparse as mu^(x m)
+    # state as sparse as mu^(x m), and the float trace folds a diagonal
+    # mu^T into its starting columns
     mu_t = inp.mu.transpose()
     steps = [(mu_t, j) for j in range(word.strands)]
     steps += _transposed_letters(inp.s, word, max_strands)

@@ -1,6 +1,7 @@
 """Command-line surface: matrix files, subcommands, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -228,6 +229,23 @@ def test_invariant_strand_cap_exit3(trivial_file, capsys):
         main(["invariant", trivial_file, "--braid", "strands=5", "--max-strands", "5"])
         == 0
     )
+
+
+def test_invariant_strand_cap_counts_dimension_exit3(tmp_path, capsys):
+    # n = 3 at 12 strands is a 3^12 x 3^12 state: refused before any work
+    data = {
+        "n": 3,
+        "field": {"backend": "float", "tolerance": 1e-9},
+        "entries": ["1.5" if i == j else "0.25" if (i + j) % 4 == 1 else "0"
+                    for i in range(9) for j in range(9)],
+        "mu": ["1", "0", "0", "0", "2", "0", "0", "0", "3"],
+    }
+    path = write_json(tmp_path / "dense3.json", data)
+    start = time.perf_counter()
+    assert main(["invariant", path, "--braid", "strands=12 s1"]) == 3
+    assert time.perf_counter() - start < 5.0
+    assert "resource cap" in capsys.readouterr().err
+    assert main(["invariant", path, "--braid", "strands=7 s1"]) == 0
 
 
 def test_invariant_max_strands_below_one_exit2(trivial_file, capsys):

@@ -168,6 +168,16 @@ def test_braid_rep_strand_cap():
     assert rho.rows == 8
 
 
+def test_strand_cap_counts_dimension_at_n3():
+    # the default cap is 4^12 entries: 3^(2*7) fits, 3^(2*8) does not
+    inp = InvariantInput(Tensor4.identity(C, 3), Mat.identity(C, 3), C.one, C.one)
+    with pytest.raises(StrandLimitError):
+        braid_rep(inp.s, BraidWord(8))
+    with pytest.raises(StrandLimitError):
+        turaev(inp, BraidWord(8))
+    assert turaev(inp, BraidWord(7, ((1, 1), (6, -1)))) == 3 ** 7
+
+
 # ---------------------------------------------------------------------------
 # the invariant
 

@@ -1,10 +1,12 @@
 """The slot kernel and the axis gather against Kronecker-product references."""
 
+import math
 import random
 import tracemalloc
 
 import pytest
 
+from ybtk.catalog import fixture
 from ybtk.errors import SingularMatrixError, StrandLimitError
 from ybtk.invariants import (
     BraidWord,
@@ -15,6 +17,7 @@ from ybtk.invariants import (
     tangle_eval,
     turaev,
 )
+from ybtk.rmatrix import braid_forms, enhance
 from ybtk.scalars import Field, exact_tag, float_tag
 from ybtk import tensors
 from ybtk.tensors import Mat, Tensor4, slot_trace, yb_sides
@@ -199,31 +202,110 @@ def test_exact_slot_trace_matches_dense_trace(n):
     assert slot_trace(QQ, n, m, steps) == dense
 
 
+def dense_float_input():
+    s, mu = rand_pair(random.Random(1200), C, 2)
+    return InvariantInput(s, mu, C.one, C.one)
+
+
+# sl2_float_input takes the weight-sector path, dense_float_input the dense one
 def test_float_slot_trace_repeats_bitwise(two_workers):
-    inp = sl2_float_input()
     word = rand_word(random.Random(800), 9, 12)
-    assert turaev(inp, word) == turaev(inp, word)
+    for inp in (sl2_float_input(), dense_float_input()):
+        assert turaev(inp, word) == turaev(inp, word)
 
 
 def test_one_worker_runs_inline_with_the_same_value(two_workers, monkeypatch):
-    inp = sl2_float_input()
+    inputs = [sl2_float_input(), dense_float_input()]
     word = rand_word(random.Random(900), 9, 12)
-    pooled = turaev(inp, word)
+    pooled = [turaev(inp, word) for inp in inputs]
     monkeypatch.setattr(tensors, "_WORKERS", 1)
     monkeypatch.setattr(tensors, "_executor", lambda: pytest.fail("the pool was used"))
-    inline = turaev(inp, word)
-    assert abs(inline - pooled) <= 1e-12 * max(1.0, abs(pooled))
+    for inp, want in zip(inputs, pooled):
+        assert abs(turaev(inp, word) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_float_turaev_holds_no_dense_state(two_workers):
-    # one 2^11 x 2^11 complex state alone is 64 MB
+    # one 2^11 x 2^11 complex state alone is 64 MB, at m = 12 256 MB
     inp = sl2_float_input()
-    word = rand_word(random.Random(1000), 11, 25)
-    turaev(inp, BraidWord(11, word.letters[:1]))  # start the pool outside the measurement
-    tracemalloc.start()
-    try:
-        turaev(inp, word)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 << 20
+    for m in (11, 12):
+        word = rand_word(random.Random(1000), m, 25)
+        turaev(inp, BraidWord(m, word.letters[:1]))  # start the pool outside the measurement
+        tracemalloc.start()
+        try:
+            turaev(inp, word)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20, m
+
+
+# ---------------------------------------------------------------------------
+# weight sectors of the float trace
+
+
+FAMILY_POINT = {"p": complex(1.1, -0.3), "q": complex(1.3, 0.2)}
+
+
+def float_family_pair(fid):
+    """The enhanced pair of a catalog family at a float point."""
+    fx = fixture(fid)
+    point = {k: FAMILY_POINT[k] for k in fx.parameters}
+    return InvariantInput.from_pair(enhance(Tensor4(2, fx.r.mat.evaluate(point, C))).pairs[0])
+
+
+def turaev_reference(inp, word):
+    return kron_braid_rep(inp.s, word).trace_product(kron_power(inp.mu, word.strands))
+
+
+def assert_close(got, want):
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def sectors_only(monkeypatch):
+    """Make the dense column-block runner fail from here on."""
+    monkeypatch.setattr(tensors, "_column_blocks", lambda *a: pytest.fail("the dense path ran"))
+
+
+@pytest.mark.parametrize("block", [1 << 15, 1 << 10], ids=["whole_sectors", "split_sectors"])
+def test_family7_sector_trace_matches_kron_reference(two_workers, monkeypatch, block):
+    inp = float_family_pair(7)
+    word = rand_word(random.Random(1100), 9, 12)
+    want = turaev_reference(inp, word)
+    monkeypatch.setattr(tensors, "_SECTOR_BLOCK_ENTRIES", block)
+    sectors_only(monkeypatch)
+    assert_close(turaev(inp, word), want)
+
+
+def test_sl3_sector_trace_matches_kron_reference(two_workers, monkeypatch):
+    s, _ = braid_forms(Tensor4(3, sl_n_r(Q, 3).mat.evaluate({"q": complex(0.9, 0.4)}, C)))
+    assert tensors._weights(3, [s.mat]).shape == (3, 2)  # the Z^2 content grading
+    mu = Mat.from_rows(C, [[1.2, 0, 0], [0, -0.7j, 0], [0, 0, 0.5 + 0.5j]])
+    word = rand_word(random.Random(1300), 6, 8)
+    inp = InvariantInput(s, mu, C.one, C.one)
+    want = turaev_reference(inp, word)
+    sectors_only(monkeypatch)
+    assert_close(turaev(inp, word), want)
+
+
+def test_weight_mixing_mu_keeps_the_dense_path(two_workers, monkeypatch):
+    monkeypatch.setattr(tensors, "_sector_trace", lambda *a: pytest.fail("the sector path ran"))
+    mu = Mat.from_rows(C, [[1, 0.3], [0.2j, 1]])
+    inp = InvariantInput(float_family_pair(7).s, mu, C.one, C.one)
+    word = rand_word(random.Random(1400), 9, 12)
+    assert_close(turaev(inp, word), turaev_reference(inp, word))
+
+
+@pytest.mark.parametrize("m", [1, 5, 9])
+def test_weight_sectors_of_the_catalog(m):
+    s = float_family_pair(7).s
+    order, sizes = tensors._weight_sectors(2, m, [s.mat.transpose(), s.inverse().mat.transpose()])
+    assert sorted(sizes.tolist()) == sorted(math.comb(m, w) for w in range(m + 1))
+    assert sorted(order.tolist()) == list(range(2 ** m))
+    ones = [bin(state).count("1") for state in order.tolist()]
+    bounds = [0, *sizes.cumsum().tolist()]
+    for lo, hi in zip(bounds, bounds[1:]):
+        assert len(set(ones[lo:hi])) == 1
+    rng = random.Random(1500 + m)
+    for n, op in [(2, float_family_pair(9).s.mat), (2, rand_pair(rng, C, 2)[0].mat),
+                  (3, rand_pair(rng, C, 3)[0].mat)]:
+        assert tensors._weight_sectors(n, m, [op])[1].tolist() == [n ** m]
