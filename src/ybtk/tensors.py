@@ -34,16 +34,16 @@ The float backend allocates no full state.  Leading diagonal one-slot
 steps (``mu^T`` on every slot, for a diagonal ``mu``) become the scale of
 the starting identity columns.  The other steps then decide the path:
 
-* Weight sectors.  If the steps conserve an additive weight
-  ``h: [n] -> Z^r``, that is every nonzero ``op[i, j]`` has the same
-  weight sum over the digits of ``i`` as over those of ``j``, the product
-  is block-diagonal by total weight (the weight-space decomposition).
-  The finest such ``h`` is solved for exactly from the supports.  States
-  are ordered sector by sector and each sector's ``L x L`` block is
-  traced on its own; a step is a multiply by the operator's diagonal
-  plus one row gather per off-diagonal term.  U_q(sl_n) and catalog
-  family 7 conserve a weight: at n = 2, m = 12 the sectors hold
-  C(24, 12) = 2.7 M entries against 4^12 = 16.8 M.
+* Sectors.  Link two states when some step operator, on any slots, has
+  a nonzero off-diagonal entry between them.  Each connected component
+  of these links is a sector that every step maps into itself, so the
+  product is block-diagonal by sector.  States are ordered sector by
+  sector and each sector's ``L x L`` block is traced on its own; a step
+  is a multiply by the operator's diagonal plus one row gather per
+  off-diagonal term.  For U_q(sl_n) and catalog family 7 the sectors
+  are the weight spaces: at n = 2, m = 12 they hold C(24, 12) = 2.7 M
+  entries against 4^12 = 16.8 M.  A Z/2 parity, as in families 6 and 9,
+  gives two halves.
 * Dense.  With one sector, or a step that changes the factor count, the
   columns of the whole space run the steps and keep their diagonal.
 
@@ -575,68 +575,47 @@ def _leading_diagonal(n: int, m: int, steps):
     return functools.reduce(np.kron, factors, np.ones(1, dtype=complex)), count
 
 
-def _weights(n: int, ops) -> np.ndarray:
-    """Integer weights ``h`` (``n x r``) of the finest additive grading ``ops`` keep.
-
-    Each nonzero ``op[i, j]`` asks that the weights of the local digits
-    of ``i`` and of ``j`` have the same sum.  Constant weights satisfy
-    every such equation and separate nothing, so they are removed by the
-    extra equation ``sum(h) = 0``; ``r = 0`` means one sector.
-    """
-    from fractions import Fraction
-    from math import lcm
-
-    equations = {(1,) * n}
-    for op in ops:
-        k, digits = op.cols, 1
-        while n ** digits < k:
-            digits += 1
-        local = np.arange(k)[:, None] // n ** np.arange(digits) % n
-        content = np.eye(n, dtype=np.int64)[local].sum(axis=1)
-        i, j = np.nonzero(op._a)
-        equations.update(map(tuple, (content[i] - content[j]).tolist()))
-    rows = [[Fraction(x) for x in eq] for eq in equations]
-    pivots = []
-    for c in range(n):
-        p = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
-        r = len(pivots)
-        rows[r], rows[p] = rows[p], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                f = row[c]
-                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
-        pivots.append(c)
-    basis = []
-    for free in (c for c in range(n) if c not in pivots):
-        h = [Fraction(0)] * n
-        h[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            h[c] = -rows[r][free]
-        scale = lcm(*(x.denominator for x in h))
-        basis.append([int(x * scale) for x in h])
-    return np.array(basis, dtype=np.int64).reshape(-1, n).T
-
-
-def _weight_sectors(n: int, m: int, ops):
+def _sectors(n: int, m: int, ops):
     """The states of (C^n)^(x m) in sector-major order, and the sector sizes.
 
-    A sector is the set of states with one total weight under
-    ``_weights(n, ops)``; every operator in ``ops`` maps a sector into
-    itself.  States keep their order inside a sector.  Operators that
-    change the factor count give one sector.
+    Two states are linked when an operator in ``ops``, on any slots, has
+    a nonzero off-diagonal entry between them; a sector is a connected
+    component of these links, so every operator maps a sector into itself
+    wherever it acts.  Components are labelled by their least state
+    through min-label passes with pointer jumping.  States keep their
+    order inside a sector.  Operators that change the factor count give
+    one sector.
     """
     dim = n ** m
-    if all(op.rows == op.cols for op in ops):
-        h = _weights(n, ops)
-        if h.shape[1]:
-            digits = np.arange(dim)[:, None] // n ** np.arange(m) % n
-            _, sector = np.unique(h[digits].sum(axis=1), axis=0, return_inverse=True)
-            sector = sector.ravel()
-            return np.argsort(sector, kind="stable"), np.bincount(sector)
-    return np.arange(dim), np.array([dim])
+    states = np.arange(dim)
+    if any(op.rows != op.cols for op in ops):
+        return states, np.array([dim])
+    supports: dict = {}
+    for op in ops:
+        link = supports.setdefault(op.cols, np.zeros((op.cols, op.cols), dtype=bool))
+        link |= (op._a != 0) | (op._a.T != 0)
+    maps = []
+    for k, link in supports.items():
+        np.fill_diagonal(link, False)
+        cols = [np.flatnonzero(row) for row in link]
+        for t in range(max(len(c) for c in cols)):
+            src = np.array([c[t] if t < len(c) else i for i, c in enumerate(cols)])
+            rest = 1
+            while rest * k <= dim:
+                loc = states // rest % k
+                maps.append(states + (src[loc] - loc) * rest)
+                rest *= n
+    label = states
+    while True:
+        new = label.copy()
+        for idx in maps:
+            np.minimum(new, new[idx], out=new)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    _, sector = np.unique(label, return_inverse=True)
+    return np.argsort(sector, kind="stable"), np.bincount(sector)
 
 
 def _gather_maps(n: int, m: int, op, first: int, order, local_pos):
@@ -671,8 +650,18 @@ def _sector_trace(n: int, m: int, steps, start, order, sizes) -> complex:
     Each sector's columns run in blocks of about ``_SECTOR_BLOCK_ENTRIES``
     entries through ``_map_blocks``; a step is a multiply by the
     operator's diagonal and one row gather per off-diagonal term, through
-    maps built once per distinct ``(op, first)``.
+    maps built once per distinct ``(op, first)``.  Neighbouring sectors
+    that fit one block together are traced as one: their union is a
+    block of the product too, and a task per tiny sector (a diagonal
+    braiding has n^m of them) would cost more in calls than in entries.
     """
+    packed: list = []
+    for size in sizes.tolist():
+        if packed and (packed[-1] + size) ** 2 <= _SECTOR_BLOCK_ENTRIES:
+            packed[-1] += size
+        else:
+            packed.append(size)
+    sizes = np.array(packed)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     local_pos = np.empty(len(order), dtype=np.int64)
     local_pos[order] = np.arange(len(order)) - np.repeat(offsets[:-1], sizes)
@@ -725,10 +714,11 @@ def slot_trace(field: Field, n: int, m: int, steps) -> Scalar:
     sparse state, running the steps in their given order.  The float
     backend folds the leading diagonal one-slot steps into the starting
     columns, then keeps only the diagonal of each column block.  When the
-    remaining steps keep an additive weight (``_weights``), the state is
-    block-diagonal by total weight and each sector is traced on its own;
-    otherwise, or when a step changes the factor count, the columns of
-    the whole space run through ``_column_blocks``.
+    supports of the remaining steps split the states into several
+    sectors (``_sectors``), the state is block-diagonal by sector and
+    each sector is traced on its own; otherwise, or when a step changes
+    the factor count, the columns of the whole space run through
+    ``_column_blocks``.
     """
     dim = n ** m
     plan, rows, peak = _plan(n, dim, steps)
@@ -744,7 +734,7 @@ def slot_trace(field: Field, n: int, m: int, steps) -> Scalar:
         return acc
     start, folded = _leading_diagonal(n, m, steps)
     steps, plan = steps[folded:], plan[folded:]
-    order, sizes = _weight_sectors(n, m, [op for op, _ in steps])
+    order, sizes = _sectors(n, m, [op for op, _ in steps])
     if len(sizes) > 1:
         return _sector_trace(n, m, steps, start, order, sizes)
 

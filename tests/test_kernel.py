@@ -226,8 +226,7 @@ def test_one_worker_runs_inline_with_the_same_value(two_workers, monkeypatch):
 
 def test_float_turaev_holds_no_dense_state(two_workers):
     # one 2^11 x 2^11 complex state alone is 64 MB, at m = 12 256 MB
-    inp = sl2_float_input()
-    for m in (11, 12):
+    for inp, m in [(sl2_float_input(), 11), (sl2_float_input(), 12), (dense_float_input(), 11)]:
         word = rand_word(random.Random(1000), m, 25)
         turaev(inp, BraidWord(m, word.letters[:1]))  # start the pool outside the measurement
         tracemalloc.start()
@@ -266,9 +265,12 @@ def sectors_only(monkeypatch):
     monkeypatch.setattr(tensors, "_column_blocks", lambda *a: pytest.fail("the dense path ran"))
 
 
-@pytest.mark.parametrize("block", [1 << 15, 1 << 10], ids=["whole_sectors", "split_sectors"])
-def test_family7_sector_trace_matches_kron_reference(two_workers, monkeypatch, block):
-    inp = float_family_pair(7)
+# family 2 links 00 and 11, which no weight on the digits keeps apart;
+# family 9 keeps only a Z/2 parity
+@pytest.mark.parametrize("fid,block", [(7, 1 << 15), (7, 1 << 10), (2, 1 << 15), (9, 1 << 15)],
+                         ids=["family7", "family7_split_sectors", "family2", "family9_parity"])
+def test_catalog_sector_trace_matches_kron_reference(two_workers, monkeypatch, fid, block):
+    inp = float_family_pair(fid)
     word = rand_word(random.Random(1100), 9, 12)
     want = turaev_reference(inp, word)
     monkeypatch.setattr(tensors, "_SECTOR_BLOCK_ENTRIES", block)
@@ -278,7 +280,11 @@ def test_family7_sector_trace_matches_kron_reference(two_workers, monkeypatch, b
 
 def test_sl3_sector_trace_matches_kron_reference(two_workers, monkeypatch):
     s, _ = braid_forms(Tensor4(3, sl_n_r(Q, 3).mat.evaluate({"q": complex(0.9, 0.4)}, C)))
-    assert tensors._weights(3, [s.mat]).shape == (3, 2)  # the Z^2 content grading
+    # the sectors are the digit contents (a, b, c), of m! / (a! b! c!) states each
+    sizes = tensors._sectors(3, 6, [s.mat])[1]
+    assert sorted(sizes.tolist()) == sorted(
+        math.factorial(6) // (math.factorial(a) * math.factorial(b) * math.factorial(6 - a - b))
+        for a in range(7) for b in range(7 - a))
     mu = Mat.from_rows(C, [[1.2, 0, 0], [0, -0.7j, 0], [0, 0, 0.5 + 0.5j]])
     word = rand_word(random.Random(1300), 6, 8)
     inp = InvariantInput(s, mu, C.one, C.one)
@@ -287,25 +293,53 @@ def test_sl3_sector_trace_matches_kron_reference(two_workers, monkeypatch):
     assert_close(turaev(inp, word), want)
 
 
-def test_weight_mixing_mu_keeps_the_dense_path(two_workers, monkeypatch):
+def test_tiny_sectors_are_packed_into_few_blocks(two_workers, monkeypatch):
+    # a diagonal braiding links no states: 2^9 sectors of one state each
+    rng = random.Random(1200)
+    d = [complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)) for _ in range(4)]
+    s = Tensor4(2, Mat.from_rows(C, [[d[i] if i == j else 0 for j in range(4)] for i in range(4)]))
+    inp = InvariantInput(s, Mat.from_rows(C, [[1.2, 0], [0, 0.8j]]), C.one, C.one)
+    word = rand_word(rng, 9, 12)
+    want = turaev_reference(inp, word)
+    tasks = []
+    map_blocks = tensors._map_blocks
+    monkeypatch.setattr(tensors, "_map_blocks", lambda fn, t: tasks.append(len(t)) or map_blocks(fn, t))
+    sectors_only(monkeypatch)
+    assert_close(turaev(inp, word), want)
+    assert len(tensors._sectors(2, 9, [s.mat])[1]) == 2 ** 9
+    assert 1 < tasks[0] <= 4
+
+
+@pytest.mark.parametrize("n,m,graded", [(2, 9, True), (2, 9, False), (3, 6, False)],
+                         ids=["weight_mixing_mu", "ungraded_n2", "ungraded_n3"])
+def test_one_sector_keeps_the_dense_path(two_workers, monkeypatch, n, m, graded):
     monkeypatch.setattr(tensors, "_sector_trace", lambda *a: pytest.fail("the sector path ran"))
-    mu = Mat.from_rows(C, [[1, 0.3], [0.2j, 1]])
-    inp = InvariantInput(float_family_pair(7).s, mu, C.one, C.one)
-    word = rand_word(random.Random(1400), 9, 12)
+    assert n ** (2 * m) > tensors._BLOCK_ENTRIES
+    rng = random.Random(1400 + n)
+    if graded:  # family 7 keeps a weight that this mu mixes
+        s, mu = float_family_pair(7).s, Mat.from_rows(C, [[1, 0.3], [0.2j, 1]])
+    else:  # nothing to split; the diagonal mu is folded into the starting columns
+        s = rand_pair(rng, C, n)[0]
+        mu = Mat.from_rows(C, [[complex(0.8 + 0.3 * i, 0.2 - 0.1 * i) if i == j else 0
+                                for j in range(n)] for i in range(n)])
+    inp = InvariantInput(s, mu, C.one, C.one)
+    word = rand_word(rng, m, 6 if n == 2 else 3)
     assert_close(turaev(inp, word), turaev_reference(inp, word))
 
 
 @pytest.mark.parametrize("m", [1, 5, 9])
-def test_weight_sectors_of_the_catalog(m):
+def test_sectors_of_the_catalog(m):
     s = float_family_pair(7).s
-    order, sizes = tensors._weight_sectors(2, m, [s.mat.transpose(), s.inverse().mat.transpose()])
+    order, sizes = tensors._sectors(2, m, [s.mat.transpose(), s.inverse().mat.transpose()])
     assert sorted(sizes.tolist()) == sorted(math.comb(m, w) for w in range(m + 1))
     assert sorted(order.tolist()) == list(range(2 ** m))
     ones = [bin(state).count("1") for state in order.tolist()]
     bounds = [0, *sizes.cumsum().tolist()]
     for lo, hi in zip(bounds, bounds[1:]):
         assert len(set(ones[lo:hi])) == 1
+    order, sizes = tensors._sectors(2, m, [float_family_pair(9).s.mat])
+    assert sizes.tolist() == [2 ** (m - 1)] * 2
     rng = random.Random(1500 + m)
-    for n, op in [(2, float_family_pair(9).s.mat), (2, rand_pair(rng, C, 2)[0].mat),
-                  (3, rand_pair(rng, C, 3)[0].mat)]:
-        assert tensors._weight_sectors(n, m, [op])[1].tolist() == [n ** m]
+    if m > 1:
+        for n, op in [(2, rand_pair(rng, C, 2)[0].mat), (3, rand_pair(rng, C, 3)[0].mat)]:
+            assert tensors._sectors(n, m, [op])[1].tolist() == [n ** m]
