@@ -135,6 +135,10 @@ def _tag_from_dict(d) -> FieldTag:
     raise MatrixFileError("unknown backend %r" % (backend,))
 
 
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> MatrixFileError:
+    return MatrixFileError("cannot read %s: not UTF-8 text (byte %d: %s)" % (path, exc.start, exc.reason))
+
+
 def read_matrix(path: str) -> MatrixFile:
     """Load and validate a matrix file; raises MatrixFileError on problems."""
     try:
@@ -142,6 +146,8 @@ def read_matrix(path: str) -> MatrixFile:
             raw = json.load(fh)
     except OSError as exc:
         raise MatrixFileError("cannot read %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
     except json.JSONDecodeError as exc:
         raise MatrixFileError("%s: line %d: %s" % (path, exc.lineno, exc.msg)) from exc
     if not isinstance(raw, dict):
@@ -363,6 +369,8 @@ def _cmd_tangle(args) -> int:
             word = TangleWord.parse(fh.read())
     except OSError as exc:
         raise MatrixFileError("cannot read %s: %s" % (args.word, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(args.word, exc) from exc
     inp = InvariantInput(loaded.r, loaded.mu, alpha, beta)
     result = tangle_eval(word, inp)
     if result.rows == 1 and result.cols == 1:

@@ -39,7 +39,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .scalars import Scalar, monomial_sqrt, scalar_invert
-from .tensors import Mat, Tensor4, embed, permutation, yb_sides
+from .tensors import Mat, Tensor4, embed, permutation, slot_compare, yb_sides, yb_steps
 
 __all__ = [
     "AxiomResult",
@@ -123,15 +123,14 @@ def _compare(lhs: Mat, rhs: Mat, label: str = "") -> AxiomResult:
     detail = ""
     if not ok and lhs.field.exact and witness is not None:
         i, j = witness
-        detail = "%sat %s: %s != %s" % (
-            (label + " ") if label else "",
-            witness,
-            lhs.field.format(lhs.at(i, j)),
-            rhs.field.format(rhs.at(i, j)),
-        )
+        detail = _mismatch(lhs.field, label, witness, lhs.at(i, j), rhs.at(i, j))
     elif not ok and label:
         detail = label
     return AxiomResult(ok, residual, witness, detail)
+
+
+def _mismatch(f, label: str, witness: tuple, lhs: Scalar, rhs: Scalar) -> str:
+    return "%sat %s: %s != %s" % ((label + " ") if label else "", witness, f.format(lhs), f.format(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +139,16 @@ def _compare(lhs: Mat, rhs: Mat, label: str = "") -> AxiomResult:
 
 def check_qyb(r: Tensor4) -> AxiomResult:
     """Quantum Yang-Baxter check; the witness is a component equation."""
-    left, right = yb_sides(r)
-    ok, residual, witness = left.compare(right)
-    if ok:
-        return AxiomResult(True, residual)
+    if r.field.exact:
+        found = slot_compare(r.field, r.n, 3, *yb_steps(r))
+        if found is None:
+            return AxiomResult(True)
+        residual, witness = None, found[0]
+    else:
+        left, right = yb_sides(r)
+        ok, residual, witness = left.compare(right)
+        if ok:
+            return AxiomResult(True, residual)
     n = r.n
     row, col = witness
     a, rest = divmod(row, n * n)
@@ -339,12 +344,17 @@ def enhance(r: Tensor4) -> Enhancement:
 
 
 def _yb3(s: Tensor4) -> AxiomResult:
-    n = s.n
+    n, f = s.n, s.field
     s12, s23 = [(s.mat, 0)], [(s.mat, 1)]
-    eye = Mat.identity(s.field, n ** 3)
-    return _compare(
-        eye.apply_slots(n, s12 + s23 + s12), eye.apply_slots(n, s23 + s12 + s23), "braid relation"
-    )
+    left, right = s12 + s23 + s12, s23 + s12 + s23
+    if f.exact:
+        found = slot_compare(f, n, 3, left, right)
+        if found is None:
+            return AxiomResult(True)
+        witness, lhs, rhs = found
+        return AxiomResult(False, None, witness, _mismatch(f, "braid relation", witness, lhs, rhs))
+    eye = Mat.identity(f, n ** 3)
+    return _compare(eye.apply_slots(n, left), eye.apply_slots(n, right), "braid relation")
 
 
 def _invertible(m: Mat) -> bool:

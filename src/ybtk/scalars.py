@@ -199,7 +199,8 @@ class RatFun:
 
     Values are immutable; all operators return new values.  ``==`` uses
     cross-multiplication, so differently reduced representations of the
-    same function compare equal.
+    same function compare equal; the same object and a zero on either
+    side are answered without it.
     """
 
     __slots__ = ("syms", "num", "den")
@@ -336,9 +337,14 @@ class RatFun:
         return RatFun(self.syms, self.den, self.num)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # a zero has no numerator terms, whatever its denominator
+        if self.is_zero or o.is_zero:
+            return self.is_zero and o.is_zero
         return self.num.mul(o.den) == o.num.mul(self.den)
 
     __hash__ = None

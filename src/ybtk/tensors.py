@@ -47,6 +47,13 @@ the starting identity columns.  The other steps then decide the path:
 * Dense.  With one sector, or a step that changes the factor count, the
   columns of the whole space run the steps and keep their diagonal.
 
+``slot_compare(field, n, m, left, right)`` is the exact equality test of
+the products two step lists build, behind ``check_qyb`` and the braid
+relation of the verifiers.  It compares the two sparse states entry by
+entry over the union of their supports, in row-major order, so it finds
+the first differing entry that ``Mat.compare`` finds on the dense
+products without forming them.
+
 Float states are processed in column blocks of ``_BLOCK_ENTRIES``
 entries (sector blocks: ``_SECTOR_BLOCK_ENTRIES``).  One block, or a
 single usable core, runs inline (dense blocks through ``np.matmul``).
@@ -367,7 +374,8 @@ class Mat:
         """Gauss-Jordan inverse; SingularMatrixError when none exists.
 
         Exact backend: the first nonzero entry of each column is the
-        pivot (abstract fields have no magnitudes).  Float backend:
+        pivot (abstract fields have no magnitudes), and a row update
+        touches only the nonzero columns of the pivot row.  Float backend:
         LAPACK with magnitude pivoting, then a residual check.
         """
         if not self.square:
@@ -394,16 +402,21 @@ class Mat:
                 raise SingularMatrixError("singular matrix (zero pivot column %d)" % col)
             if pivot_row != col:
                 aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            inv_p = aug[col][col].invert()
-            aug[col] = [x * inv_p for x in aug[col]]
+            prow = aug[col]
+            inv_p = prow[col].invert()
+            # a zero entry of the pivot row stays zero and leaves its column unchanged
+            support = [j for j, x in enumerate(prow) if not x.is_zero]
+            for j in support:
+                prow[j] = prow[j] * inv_p
             for r in range(n):
                 if r == col:
                     continue
-                f = aug[r][col]
+                row = aug[r]
+                f = row[col]
                 if f.is_zero:
                     continue
-                prow = aug[col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], prow)]
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         return Mat(self.field, n, n, [row[n:] for row in aug])
 
     # -- conversion -------------------------------------------------------
@@ -747,6 +760,30 @@ def slot_trace(field: Field, n: int, m: int, steps) -> Scalar:
     return sum(_column_blocks(plan, peak, dim, diagonal), 0j)
 
 
+def slot_compare(field: Field, n: int, m: int, left, right):
+    """The first entry where the products of two step lists differ.
+
+    Exact backend only.  Both step lists run on the sparse identity of
+    (C^n)^(x m), as in ``slot_trace``, and the union of the two supports
+    is walked in row-major order, so the entry found is the one that
+    ``Mat.compare`` finds on the dense products.  Returns None when the
+    products are equal, else ``((row, col), lhs, rhs)`` with the two
+    entries there (``field.zero`` off a support).
+    """
+    dim = n ** m
+    lhs, rhs = [_exact_steps({r: {r: field.one} for r in range(dim)}, _plan(n, dim, steps)[0])
+                for steps in (left, right)]
+    zero = field.zero
+    for r in sorted(lhs.keys() | rhs.keys()):
+        lrow, rrow = lhs.get(r, {}), rhs.get(r, {})
+        for c in sorted(lrow.keys() | rrow.keys()):
+            a, b = lrow.get(c), rrow.get(c)
+            # a sparse state holds no zeros, so a missing entry differs
+            if a is None or b is None or not a == b:
+                return (r, c), zero if a is None else a, zero if b is None else b
+    return None
+
+
 class Tensor4:
     """A two-slot operator: an n^2 x n^2 matrix addressed by four indices."""
 
@@ -877,10 +914,15 @@ def yb_sides(r: Tensor4) -> tuple[Mat, Mat]:
     Returns (R12 R13 R23, R23 R13 R12) as n^3 x n^3 matrices in the
     fixed three-slot flattening.
     """
-    n = r.n
-    p = permutation(r.field, n).mat
+    eye = Mat.identity(r.field, r.n ** 3)
+    left, right = yb_steps(r)
+    return eye.apply_slots(r.n, left), eye.apply_slots(r.n, right)
+
+
+def yb_steps(r: Tensor4) -> tuple[list, list]:
+    """The step lists of ``yb_sides`` on three slots."""
+    p = permutation(r.field, r.n).mat
     r12, r23 = [(r.mat, 0)], [(r.mat, 1)]
     r13 = [(p, 1), (r.mat, 0), (p, 1)]
-    eye = Mat.identity(r.field, n ** 3)
     # a product's rightmost factor is its first step
-    return eye.apply_slots(n, r23 + r13 + r12), eye.apply_slots(n, r12 + r13 + r23)
+    return r23 + r13 + r12, r12 + r13 + r23

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from ybtk.errors import SingularMatrixError
 from ybtk.scalars import Field
 from ybtk.tensors import Mat, Tensor4
 
@@ -133,6 +134,68 @@ def entrywise_contraction(first: Tensor4, second: Tensor4) -> Mat:
         return acc
 
     return Mat.build(f, n * n, n * n, fn)
+
+
+# ---------------------------------------------------------------------------
+# dense references for the exact fast paths: slot_compare, RatFun.__eq__
+# and the sparse Gauss-Jordan of Mat.inverse
+
+
+def dense_slot_compare(field: Field, n: int, m: int, left, right):
+    """``slot_compare`` from the dense products and ``Mat.compare``."""
+    eye = Mat.identity(field, n ** m)
+    lhs, rhs = eye.apply_slots(n, left), eye.apply_slots(n, right)
+    ok, _, witness = lhs.compare(rhs)
+    if ok:
+        return None
+    return witness, lhs.at(*witness), rhs.at(*witness)
+
+
+def cross_multiply_eq(a, b):
+    """``RatFun.__eq__`` without its shortcuts: always cross-multiply."""
+    o = a._coerce(b)
+    if o is None:
+        return NotImplemented
+    return a.num.mul(o.den) == o.num.mul(a.den)
+
+
+def dense_inverse(m: Mat) -> Mat:
+    """Exact Gauss-Jordan that updates every column of the augmented matrix."""
+    if not m.square:
+        raise SingularMatrixError("only square matrices are invertible")
+    f, n = m.field, m.rows
+    aug = [list(row) + [f.one if i == j else f.zero for j in range(n)]
+           for i, row in enumerate(m.tolist())]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if not aug[r][col].is_zero), None)
+        if pivot_row is None:
+            raise SingularMatrixError("singular matrix (zero pivot column %d)" % col)
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        inv_p = aug[col][col].invert()
+        aug[col] = [x * inv_p for x in aug[col]]
+        for r in range(n):
+            f_r = aug[r][col]
+            if r != col and not f_r.is_zero:
+                aug[r] = [x - f_r * y for x, y in zip(aug[r], aug[col])]
+    return Mat(f, n, n, [row[n:] for row in aug])
+
+
+def perturbed(t: Tensor4) -> Tensor4:
+    """``t`` with 2 added to its middle diagonal entry."""
+    rows = t.mat.tolist()
+    i = len(rows) // 2
+    rows[i][i] = rows[i][i] + t.field.from_int(2)
+    return Tensor4(t.n, Mat.from_rows(t.field, rows))
+
+
+def use_dense_references(monkeypatch):
+    """Route the three exact fast paths through the dense references."""
+    from ybtk import rmatrix
+    from ybtk.scalars import RatFun
+
+    monkeypatch.setattr(rmatrix, "slot_compare", dense_slot_compare)
+    monkeypatch.setattr(RatFun, "__eq__", cross_multiply_eq)
+    monkeypatch.setattr(Mat, "inverse", dense_inverse)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,13 @@ import time
 
 import pytest
 
+from ybtk.catalog import families, fixture
 from ybtk.cli import MatrixFile, main, read_matrix, write_matrix
-from ybtk.errors import MatrixFileError
-from ybtk.scalars import FieldTag
+from ybtk.errors import MatrixFileError, ToolkitError
+from ybtk.rmatrix import enhance
+from ybtk.scalars import Field, FieldTag, exact_tag
+
+from helpers import perturbed, sl_n_r, use_dense_references
 
 TRIVIAL = {
     "n": 2,
@@ -285,6 +289,73 @@ def test_tangle_identity_strand(tmp_path, trivial_file, capsys):
     assert main(["tangle", trivial_file, "--word", str(word)]) == 0
     out = capsys.readouterr().out
     assert "[ 1  0 ]" in out and "[ 0  1 ]" in out
+
+
+def test_non_utf8_matrix_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert "cannot read %s: not UTF-8 text" % path in err
+
+
+def test_non_utf8_tangle_word_file_exits_2(tmp_path, trivial_file, capsys):
+    word = tmp_path / "word.txt"
+    word.write_bytes(b"cup\n\xff\n")
+    assert main(["tangle", trivial_file, "--word", str(word)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert "cannot read %s: not UTF-8 text" % word in err
+
+
+def _decide_files(tmp_path):
+    """Matrix files for every catalog fixture and exact U_q(sl_3), plus
+    verify files for the enhanced pair and quadruple of each enhanceable
+    one and for the pair with one entry of S changed."""
+    cases = [("family%d%s" % (fam.id, v or ""), fixture(fam.id, variant=v).r)
+             for fam in families() for v in fam.variants or (None,)]
+    cases.append(("sl3", sl_n_r(Field(exact_tag("q")), 3)))
+    matrices, verifies = [], []
+    for name, r in cases:
+        f = r.field
+        base = {"n": r.n, "field": {"backend": "exact", "indeterminates": list(f.tag.indeterminates),
+                                    "imaginary": f.tag.imaginary}}
+
+        def write(suffix, s, **extra):
+            body = dict(base, entries=[x for row in s.mat.format_rows() for x in row], **extra)
+            return write_json(tmp_path / (name + suffix + ".json"), body)
+
+        matrices.append(write("", r))
+        try:
+            result = enhance(r)
+        except ToolkitError:
+            continue
+        pair, quad = result.pairs[0], result.quadruples[1]
+        mu = [x for row in pair.mu.format_rows() for x in row]
+        verifies.append(write("_pair", pair.s, mu=mu))
+        verifies.append(write("_pair_changed", perturbed(pair.s), mu=mu))
+        verifies.append(write("_quad", quad.s, mu=[x for row in quad.mu.format_rows() for x in row],
+                              alpha=f.format(quad.alpha), beta=f.format(quad.beta)))
+    return [(cmd, p) for p in matrices for cmd in ("check", "enhance")] + [("verify", p) for p in verifies]
+
+
+def test_decide_output_is_byte_stable_against_dense_references(tmp_path, capsys, monkeypatch):
+    runs = _decide_files(tmp_path)
+
+    def outputs():
+        out = []
+        for cmd, path in runs:
+            code = main([cmd, path])
+            out.append((cmd, path, code, capsys.readouterr()))
+        return out
+
+    fast = outputs()
+    assert any(code == 0 for cmd, _, code, _ in fast if cmd == "verify")
+    assert any("braid relation at" in o.out for cmd, _, _, o in fast if cmd == "verify")
+    assert any("QYB: FAIL" in o.out for cmd, _, _, o in fast if cmd == "check")
+    use_dense_references(monkeypatch)
+    assert outputs() == fast
 
 
 def test_catalog_exports_reimport_with_same_verdict(tmp_path):
