@@ -169,7 +169,7 @@ def braid_forms(r: Tensor4) -> tuple[Tensor4, Tensor4]:
 def second_inverse(r: Tensor4) -> Tensor4:
     """``((R^{t2})^{-1})^{t2}``; raises when R or R^{t2} is singular."""
     try:
-        r.mat.inverse()
+        r.mat.check_invertible()
     except SingularMatrixError as exc:
         raise NotInvertibleError("the matrix itself is singular") from exc
     try:
@@ -359,7 +359,7 @@ def _yb3(s: Tensor4) -> AxiomResult:
 
 def _invertible(m: Mat) -> bool:
     try:
-        m.inverse()
+        m.check_invertible()
         return True
     except SingularMatrixError:
         return False
@@ -445,7 +445,7 @@ def verify_pair(s: Tensor4, mu: Mat) -> EnhancementReport:
     report.results["ENH4"] = _both(enh4(s_inv, s), enh4(s, s_inv))
 
     mut = mu.transpose()
-    mut_inv = mut.inverse()
+    mut_inv = mu_inv.transpose()
     mut_slot2 = embed(mut, "slot2").mat
     mut_inv_slot2 = embed(mut_inv, "slot2").mat
 

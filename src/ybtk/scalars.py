@@ -3,19 +3,25 @@
 Two interchangeable backends sit behind one :class:`FieldTag`:
 
 * ``exact``: rational functions in a fixed tuple of indeterminates over
-  the rationals, optionally with the imaginary unit adjoined to the
-  coefficients (Gaussian rationals, so ``i*i == -1`` holds in ordinary
-  arithmetic).  A value is a quotient ``num/den`` of multivariate
-  polynomials.  Equality of ``a/b`` and ``c/d`` is decided by the
-  cross-multiplication identity ``a*d == c*b``, so no canonical form and
-  in particular no multivariate gcd is ever required.
+  the rationals, optionally with the imaginary unit adjoined (Gaussian
+  rationals, so ``i*i == -1`` holds in ordinary arithmetic).  A value is
+  a quotient ``num/den`` of multivariate polynomials whose coefficients
+  are Gaussian integers, each a pair of Python ``int``; a rational such
+  as 3/2 is the numerator 3 over the denominator 2.  Equality of ``a/b``
+  and ``c/d`` is decided by the cross-multiplication identity
+  ``a*d == c*b``, so no canonical form and in particular no multivariate
+  gcd is ever required.
 * ``float``: complex double precision; the tag carries the relative
   tolerance used by all comparisons.
 
-After every exact operation the common monomial factor and the common
-rational content of numerator and denominator are divided out.  This
-keeps Laurent-style values (monomial denominators) small without full
-gcd reduction.
+After every exact operation the common monomial factor and the integer
+content (the gcd of every real and imaginary coefficient part of
+numerator and denominator together) are divided out, and the leading
+coefficient of the denominator is made positive.  This keeps
+Laurent-style values (monomial denominators) small without full gcd
+reduction.  ``Fraction`` appears only at the text and conversion
+boundary: folding a monomial denominator for printing, ``as_gauss``,
+``monomial_sqrt`` and ``substitute``.
 
 Scalar text grammar (also used by the matrix file format)::
 
@@ -41,6 +47,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from operator import add, sub
 from typing import Mapping, Union
 
 from .errors import ScalarSyntaxError, UnknownSymbolError
@@ -59,11 +66,8 @@ __all__ = [
     "substitute",
 ]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-# A polynomial coefficient is a Gaussian rational stored as (re, im).
-Coeff = tuple[Fraction, Fraction]
+# A polynomial coefficient is a Gaussian integer stored as (re, im).
+Coeff = tuple[int, int]
 
 
 def _cmul(a: Coeff, b: Coeff) -> Coeff:
@@ -71,27 +75,21 @@ def _cmul(a: Coeff, b: Coeff) -> Coeff:
     br, bi = b
     if not ai:
         if not bi:
-            return (ar * br, _F0)
+            return (ar * br, 0)
         return (ar * br, ar * bi)
     if not bi:
         return (ar * br, ai * br)
     return (ar * br - ai * bi, ar * bi + ai * br)
 
 
-def _cinv(a: Coeff) -> Coeff:
+def _cdiv(a: Coeff, b: Coeff) -> tuple[Fraction, Fraction]:
+    """The Gaussian rational a/b as (re, im) Fractions."""
     ar, ai = a
-    if not ai:
-        return (_F1 / ar, _F0)
-    d = ar * ar + ai * ai
-    return (ar / d, -ai / d)
-
-
-def _gcd_fraction(a: Fraction, b: Fraction) -> Fraction:
-    # gcd on positive rationals: gcd(p/q, r/s) = gcd(p*s, r*q) / (q*s)
-    return Fraction(
-        math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-        a.denominator * b.denominator,
-    )
+    br, bi = b
+    if not bi:
+        return (Fraction(ar, br), Fraction(ai, br))
+    d = br * br + bi * bi
+    return (Fraction(ar * br + ai * bi, d), Fraction(ai * br - ar * bi, d))
 
 
 class _Poly:
@@ -116,7 +114,7 @@ class _Poly:
     @staticmethod
     def gen(nv: int, k: int) -> "_Poly":
         mono = tuple(1 if j == k else 0 for j in range(nv))
-        return _Poly(nv, {mono: (_F1, _F0)})
+        return _Poly(nv, {mono: (1, 0)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -139,15 +137,21 @@ class _Poly:
         return _Poly(self.nv, {m: (-c[0], -c[1]) for m, c in self.terms.items()})
 
     def mul(self, other: "_Poly") -> "_Poly":
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            # a monomial factor: the products have distinct monomials
+            ((m2, c2),) = b.items()
+            return _Poly(self.nv, {tuple(map(add, m1, m2)): _cmul(c1, c2) for m1, c1 in a.items()})
         t: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                c = _cmul(c1, c2)
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = tuple(map(add, m1, m2))
+                c = _cmul(c1, c2)  # nonzero: Z[i] has no zero divisors
                 cur = t.get(m)
                 if cur is None:
-                    if c[0] or c[1]:
-                        t[m] = c
+                    t[m] = c
                 else:
                     re, im = cur[0] + c[0], cur[1] + c[1]
                     if re or im:
@@ -156,37 +160,21 @@ class _Poly:
                         del t[m]
         return _Poly(self.nv, t)
 
-    def scale(self, c: Coeff) -> "_Poly":
-        if not c[0] and not c[1]:
-            return _Poly(self.nv, {})
-        return _Poly(self.nv, {m: _cmul(v, c) for m, v in self.terms.items()})
+    def divide(self, g: int) -> "_Poly":
+        """Exact division by an integer that divides every coefficient part."""
+        return _Poly(self.nv, {m: (re // g, im // g) for m, (re, im) in self.terms.items()})
 
     def min_exps(self) -> tuple:
-        it = iter(self.terms)
-        low = list(next(it))
-        for m in it:
-            for j, e in enumerate(m):
-                if e < low[j]:
-                    low[j] = e
-        return tuple(low)
+        return tuple(map(min, zip(*self.terms)))
 
     def shifted_down(self, by: tuple) -> "_Poly":
         if not any(by):
             return self
-        return _Poly(
-            self.nv,
-            {tuple(e - b for e, b in zip(m, by)): c for m, c in self.terms.items()},
-        )
+        return _Poly(self.nv, {tuple(map(sub, m, by)): c for m, c in self.terms.items()})
 
-    def content(self) -> Fraction:
-        num_g = 0
-        den_l = 1
-        for re, im in self.terms.values():
-            for f in (re, im):
-                if f:
-                    num_g = math.gcd(num_g, abs(f.numerator))
-                    den_l = den_l * f.denominator // math.gcd(den_l, f.denominator)
-        return Fraction(num_g, den_l)
+    def content(self) -> int:
+        """The gcd of every real and imaginary coefficient part (0 for zero)."""
+        return math.gcd(*[x for c in self.terms.values() for x in c])
 
     def __eq__(self, other):
         return isinstance(other, _Poly) and self.terms == other.terms
@@ -196,6 +184,11 @@ class _Poly:
 
 class RatFun:
     """An exact rational function num/den over a fixed symbol tuple.
+
+    ``num`` and ``den`` have Gaussian-integer coefficients with a joint
+    integer content of 1, and the leading coefficient of ``den`` is
+    positive (a positive real part, or a zero real part and a positive
+    imaginary part).
 
     Values are immutable; all operators return new values.  ``==`` uses
     cross-multiplication, so differently reduced representations of the
@@ -218,17 +211,26 @@ class RatFun:
 
     @staticmethod
     def from_fraction(syms: tuple, value) -> "RatFun":
-        nv = len(syms)
-        c = (Fraction(value), _F0)
-        return RatFun(syms, _Poly.const(nv, c), _Poly.const(nv, (_F1, _F0)), reduce=False)
-
-    @staticmethod
-    def from_gauss(syms: tuple, re, im) -> "RatFun":
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
         nv = len(syms)
         return RatFun(
             syms,
-            _Poly.const(nv, (Fraction(re), Fraction(im))),
-            _Poly.const(nv, (_F1, _F0)),
+            _Poly.const(nv, (value.numerator, 0)),
+            _Poly.const(nv, (value.denominator, 0)),
+            reduce=False,
+        )
+
+    @staticmethod
+    def from_gauss(syms: tuple, re, im) -> "RatFun":
+        re, im = Fraction(re), Fraction(im)
+        # over the lcm of the two denominators the three integers are coprime
+        d = math.lcm(re.denominator, im.denominator)
+        nv = len(syms)
+        return RatFun(
+            syms,
+            _Poly.const(nv, (int(re * d), int(im * d))),
+            _Poly.const(nv, (d, 0)),
             reduce=False,
         )
 
@@ -236,7 +238,7 @@ class RatFun:
     def gen(syms: tuple, name: str) -> "RatFun":
         nv = len(syms)
         k = syms.index(name)
-        return RatFun(syms, _Poly.gen(nv, k), _Poly.const(nv, (_F1, _F0)), reduce=False)
+        return RatFun(syms, _Poly.gen(nv, k), _Poly.const(nv, (1, 0)), reduce=False)
 
     # -- predicates ---------------------------------------------------
 
@@ -296,8 +298,11 @@ class RatFun:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return RatFun.from_fraction(self.syms, 0)
+        # values are immutable, so a zero operand serves as the product
+        if self.is_zero:
+            return self
+        if o.is_zero:
+            return o
         if self.is_one:
             return o
         if o.is_one:
@@ -352,13 +357,13 @@ class RatFun:
     # -- conversion ---------------------------------------------------
 
     def as_gauss(self) -> tuple[Fraction, Fraction] | None:
-        """Return (re, im) if the value is constant, else None."""
+        """Return (re, im) as Fractions if the value is constant, else None."""
         if self.is_zero:
-            return (_F0, _F0)
+            return (Fraction(0), Fraction(0))
         nv = len(self.syms)
         one = (0,) * nv
         if set(self.num.terms) == {one} and set(self.den.terms) == {one}:
-            return _cmul(self.num.terms[one], _cinv(self.den.terms[one]))
+            return _cdiv(self.num.terms[one], self.den.terms[one])
         return None
 
     def __repr__(self):
@@ -369,7 +374,7 @@ class RatFun:
 
 
 def _reduce(num: _Poly, den: _Poly) -> tuple[_Poly, _Poly]:
-    """Divide out common monomial and rational content; fix the sign of den.
+    """Divide out common monomial and integer content; fix the sign of den.
 
     Additionally collapses the frequent case where the numerator is a
     monomial multiple of the denominator (detected from the leading
@@ -377,17 +382,18 @@ def _reduce(num: _Poly, den: _Poly) -> tuple[_Poly, _Poly]:
     dragging redundant polynomial factors around without needing gcd.
     """
     if num.is_zero():
-        return num, _Poly.const(den.nv, (_F1, _F0))
+        return num, _Poly.const(den.nv, (1, 0))
     low_n = num.min_exps()
     low_d = den.min_exps()
-    shift = tuple(min(a, b) for a, b in zip(low_n, low_d))
+    shift = tuple(map(min, low_n, low_d))
     num = num.shifted_down(shift)
     den = den.shifted_down(shift)
-    g = _gcd_fraction(num.content(), den.content())
+    g = num.content()
     if g != 1:
-        inv = (_F1 / g, _F0)
-        num = num.scale(inv)
-        den = den.scale(inv)
+        g = math.gcd(g, den.content())
+        if g != 1:
+            num = num.divide(g)
+            den = den.divide(g)
     if len(num.terms) == len(den.terms) and len(den.terms) > 1:
         collapsed = _monomial_quotient(num, den)
         if collapsed is not None:
@@ -400,19 +406,27 @@ def _reduce(num: _Poly, den: _Poly) -> tuple[_Poly, _Poly]:
 
 
 def _monomial_quotient(num: _Poly, den: _Poly):
-    """If num == c * x^e * den, return the reduced (c*x^{e+}, x^{e-}) pair."""
+    """If num == (cn/cd) * x^e * den, return the reduced pair for (cn/cd) x^e.
+
+    ``cn`` and ``cd`` are the leading coefficients; the test
+    ``cd * x^{e-} * num == cn * x^{e+} * den`` runs in integers.  The
+    quotient cn/cd is written over a positive integer denominator.
+    """
     nv = num.nv
     lead_n = max(num.terms)
     lead_d = max(den.terms)
-    c = _cmul(num.terms[lead_n], _cinv(den.terms[lead_d]))
+    cn = num.terms[lead_n]
+    cd = den.terms[lead_d]
     exps = tuple(a - b for a, b in zip(lead_n, lead_d))
     up = tuple(max(e, 0) for e in exps)
     down = tuple(max(-e, 0) for e in exps)
-    lhs = num if not any(down) else num.mul(_Poly(nv, {down: (_F1, _F0)}))
-    rhs = den.mul(_Poly(nv, {up: c}))
-    if lhs == rhs:
-        return _Poly(nv, {up: c}), _Poly(nv, {down: (_F1, _F0)})
-    return None
+    if num.mul(_Poly(nv, {down: cd})) != den.mul(_Poly(nv, {up: cn})):
+        return None
+    # cn/cd = cn * conj(cd) / |cd|^2
+    re, im = _cmul(cn, (cd[0], -cd[1]))
+    d = cd[0] * cd[0] + cd[1] * cd[1]
+    g = math.gcd(re, im, d)
+    return _Poly(nv, {up: (re // g, im // g)}), _Poly(nv, {down: (d // g, 0)})
 
 
 Scalar = Union[RatFun, complex]
@@ -484,13 +498,18 @@ class Field:
         return RatFun.gen(self.tag.indeterminates, name)
 
     def from_int(self, k: int) -> Scalar:
-        return self.from_fraction(Fraction(k))
+        return self.from_fraction(k)
 
     def from_fraction(self, fr) -> Scalar:
-        fr = Fraction(fr)
         if self.exact:
+            if not fr:
+                # one shared zero: most entries of a sparse matrix file are 0
+                return self.zero
             return RatFun.from_fraction(self.tag.indeterminates, fr)
-        return complex(fr)
+        try:
+            return complex(Fraction(fr))
+        except OverflowError:
+            raise ScalarSyntaxError("number too large for the float backend") from None
 
     def imag_unit(self) -> Scalar:
         if self.exact:
@@ -559,7 +578,7 @@ def monomial_sqrt(s: Scalar):
     (md, cd), = s.den.terms.items()
     if cn[1] or cd[1]:
         return None
-    c = cn[0] / cd[0]
+    c = Fraction(cn[0], cd[0])
     if c <= 0:
         return None
     if any(e % 2 for e in mn) or any(e % 2 for e in md):
@@ -569,8 +588,8 @@ def monomial_sqrt(s: Scalar):
     if rn * rn != c.numerator or rd * rd != c.denominator:
         return None
     nv = len(s.syms)
-    num = _Poly(nv, {tuple(e // 2 for e in mn): (Fraction(rn, rd), _F0)})
-    den = _Poly(nv, {tuple(e // 2 for e in md): (_F1, _F0)})
+    num = _Poly(nv, {tuple(e // 2 for e in mn): (rn, 0)})
+    den = _Poly(nv, {tuple(e // 2 for e in md): (rd, 0)})
     return RatFun(s.syms, num, den)
 
 
@@ -839,11 +858,10 @@ def format_scalar(s: Scalar) -> str:
             return "0"
         if len(s.den.terms) == 1:
             ((dm, dc),) = s.den.terms.items()
-            inv = _cinv(dc)
             folded = _Poly(
                 s.num.nv,
                 {
-                    tuple(e - de for e, de in zip(m, dm)): _cmul(c, inv)
+                    tuple(e - de for e, de in zip(m, dm)): _cdiv(c, dc)
                     for m, c in s.num.terms.items()
                 },
             )

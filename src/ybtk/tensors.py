@@ -390,8 +390,28 @@ class Mat:
             if residual > self.field.tolerance ** 0.5:
                 raise SingularMatrixError("numerically singular matrix")
             return Mat(self.field, n, n, inv)
-        aug = [list(row) + [self.field.one if i == j else self.field.zero for j in range(n)]
-               for i, row in enumerate(self._a)]
+        return Mat(self.field, n, n, [row[n:] for row in self._gauss_jordan(True)])
+
+    def check_invertible(self) -> None:
+        """Raise SingularMatrixError exactly when ``inverse`` would, without forming it."""
+        if not self.field.exact:
+            self.inverse()
+            return
+        if not self.square:
+            raise SingularMatrixError("only square matrices are invertible")
+        self._gauss_jordan(False)
+
+    def _gauss_jordan(self, augment: bool) -> list[list]:
+        """Exact elimination of the rows, with the identity appended when ``augment``.
+
+        Without it only the rows below each pivot are cleared, which is
+        enough to find a zero pivot column.
+        """
+        n = self.rows
+        aug = [list(row) for row in self._a]
+        if augment:
+            for i, row in enumerate(aug):
+                row.extend(self.field.one if i == j else self.field.zero for j in range(n))
         for col in range(n):
             pivot_row = None
             for r in range(col, n):
@@ -408,7 +428,7 @@ class Mat:
             support = [j for j, x in enumerate(prow) if not x.is_zero]
             for j in support:
                 prow[j] = prow[j] * inv_p
-            for r in range(n):
+            for r in range(n) if augment else range(col + 1, n):
                 if r == col:
                     continue
                 row = aug[r]
@@ -417,7 +437,7 @@ class Mat:
                     continue
                 for j in support:
                     row[j] = row[j] - f * prow[j]
-        return Mat(self.field, n, n, [row[n:] for row in aug])
+        return aug
 
     # -- conversion -------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Shared helpers for the test suite: random values and matrices."""
 
+import math
 from fractions import Fraction
 
 from ybtk.errors import SingularMatrixError
-from ybtk.scalars import Field
+from ybtk.scalars import Field, _cmul, _format_poly, _Poly
 from ybtk.tensors import Mat, Tensor4
 
 
@@ -227,3 +228,166 @@ def sl_n_r(field: Field, n: int) -> Tensor4:
     values = [field.parse(x) for x in sl_n_entries(n)]
     dim = n * n
     return Tensor4(n, Mat.from_rows(field, [values[i * dim:(i + 1) * dim] for i in range(dim)]))
+
+
+# ---------------------------------------------------------------------------
+# exact scalars with Fraction coefficients: RatFun arithmetic as it ran
+# before its coefficients became Gaussian integers, for property tests
+
+
+def _gcd_fraction(a: Fraction, b: Fraction) -> Fraction:
+    # gcd on positive rationals: gcd(p/q, r/s) = gcd(p*s, r*q) / (q*s)
+    return Fraction(
+        math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
+        a.denominator * b.denominator,
+    )
+
+
+def _fraction_content(p: _Poly) -> Fraction:
+    num_g = 0
+    den_l = 1
+    for re, im in p.terms.values():
+        for f in (re, im):
+            if f:
+                num_g = math.gcd(num_g, abs(f.numerator))
+                den_l = den_l * f.denominator // math.gcd(den_l, f.denominator)
+    return Fraction(num_g, den_l)
+
+
+def _fraction_cinv(a):
+    ar, ai = a
+    if not ai:
+        return (1 / Fraction(ar), Fraction(0))
+    d = ar * ar + ai * ai
+    return (Fraction(ar) / d, Fraction(-ai) / d)
+
+
+def _fraction_scale(p: _Poly, c) -> _Poly:
+    return _Poly(p.nv, {m: _cmul(v, c) for m, v in p.terms.items()})
+
+
+def _fraction_monomial_quotient(num: _Poly, den: _Poly):
+    nv = num.nv
+    lead_n = max(num.terms)
+    lead_d = max(den.terms)
+    c = _cmul(num.terms[lead_n], _fraction_cinv(den.terms[lead_d]))
+    exps = tuple(a - b for a, b in zip(lead_n, lead_d))
+    up = tuple(max(e, 0) for e in exps)
+    down = tuple(max(-e, 0) for e in exps)
+    one = (Fraction(1), Fraction(0))
+    lhs = num if not any(down) else num.mul(_Poly(nv, {down: one}))
+    if lhs == den.mul(_Poly(nv, {up: c})):
+        return _Poly(nv, {up: c}), _Poly(nv, {down: one})
+    return None
+
+
+def fraction_reduce(num: _Poly, den: _Poly) -> tuple[_Poly, _Poly]:
+    """Divide out common monomial and rational content; fix the sign of den."""
+    if num.is_zero():
+        return num, _Poly.const(den.nv, (Fraction(1), Fraction(0)))
+    shift = tuple(min(a, b) for a, b in zip(num.min_exps(), den.min_exps()))
+    num = num.shifted_down(shift)
+    den = den.shifted_down(shift)
+    g = _gcd_fraction(_fraction_content(num), _fraction_content(den))
+    if g != 1:
+        inv = (1 / g, Fraction(0))
+        num = _fraction_scale(num, inv)
+        den = _fraction_scale(den, inv)
+    if len(num.terms) == len(den.terms) and len(den.terms) > 1:
+        collapsed = _fraction_monomial_quotient(num, den)
+        if collapsed is not None:
+            num, den = collapsed
+    lead = den.terms[max(den.terms)]
+    if lead[0] < 0 or (not lead[0] and lead[1] < 0):
+        num = num.neg()
+        den = den.neg()
+    return num, den
+
+
+class FractionRatFun:
+    """num/den with Gaussian-rational Fraction coefficients, reduced by ``fraction_reduce``."""
+
+    def __init__(self, syms, num: _Poly, den: _Poly, reduce=True):
+        if den.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        if reduce:
+            num, den = fraction_reduce(num, den)
+        self.syms, self.num, self.den = syms, num, den
+
+    @staticmethod
+    def from_gauss(syms, re, im=0):
+        nv = len(syms)
+        one = _Poly.const(nv, (Fraction(1), Fraction(0)))
+        return FractionRatFun(syms, _Poly.const(nv, (Fraction(re), Fraction(im))), one, False)
+
+    @staticmethod
+    def gen(syms, name):
+        nv = len(syms)
+        mono = tuple(int(s == name) for s in syms)
+        one = (Fraction(1), Fraction(0))
+        return FractionRatFun(syms, _Poly(nv, {mono: one}), _Poly.const(nv, one), False)
+
+    @property
+    def is_zero(self):
+        return not self.num.terms
+
+    def __add__(self, o):
+        if self.is_zero:
+            return o
+        if o.is_zero:
+            return self
+        if self.den.terms == o.den.terms:
+            return FractionRatFun(self.syms, self.num.add(o.num), self.den)
+        num = self.num.mul(o.den).add(o.num.mul(self.den))
+        return FractionRatFun(self.syms, num, self.den.mul(o.den))
+
+    def __neg__(self):
+        return FractionRatFun(self.syms, self.num.neg(), self.den, False)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __mul__(self, o):
+        if self.is_zero or o.is_zero:
+            return FractionRatFun.from_gauss(self.syms, 0)
+        if self.num.terms == self.den.terms:
+            return o
+        if o.num.terms == o.den.terms:
+            return self
+        return FractionRatFun(self.syms, self.num.mul(o.num), self.den.mul(o.den))
+
+    def invert(self):
+        if self.is_zero:
+            raise ZeroDivisionError("inverting the zero scalar")
+        return FractionRatFun(self.syms, self.den, self.num)
+
+    def __truediv__(self, o):
+        return self * o.invert()
+
+    def __pow__(self, k):
+        base = self.invert() if k < 0 else self
+        k = abs(k)
+        out = FractionRatFun.from_gauss(self.syms, 1)
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return out
+
+    def __eq__(self, o):
+        if self.is_zero or o.is_zero:
+            return self.is_zero and o.is_zero
+        return self.num.mul(o.den) == o.num.mul(self.den)
+
+    def text(self) -> str:
+        """``format_scalar`` text: a monomial denominator folds into the terms."""
+        if self.is_zero:
+            return "0"
+        if len(self.den.terms) == 1:
+            ((dm, dc),) = self.den.terms.items()
+            inv = _fraction_cinv(dc)
+            folded = {tuple(e - de for e, de in zip(m, dm)): _cmul(c, inv)
+                      for m, c in self.num.terms.items()}
+            return _format_poly(_Poly(self.num.nv, folded), self.syms)
+        return "(%s)/(%s)" % (_format_poly(self.num, self.syms), _format_poly(self.den, self.syms))

@@ -114,6 +114,17 @@ def test_parenthesised_product_entry_reads_and_nested_quotient_exits_2(tmp_path,
     assert len(err.splitlines()) == 1 and "numerator/denominator" in err
 
 
+@pytest.mark.parametrize("command", ["check", "enhance"])
+def test_float_literal_beyond_a_double_exits_2(tmp_path, capsys, command):
+    entries = list(TRIVIAL["entries"])
+    entries[15] = "9" * 400
+    field = {"backend": "float", "tolerance": 1e-9}
+    path = write_json(tmp_path / "huge.json", {"n": 2, "field": field, "entries": entries})
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "too large for the float backend" in err
+
+
 def test_write_matrix_float_tag():
     mf = MatrixFile(1, FieldTag("float", (), True, 1e-7), ["2"])
     text = write_matrix(mf)

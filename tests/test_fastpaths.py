@@ -188,10 +188,12 @@ def test_sparse_gauss_jordan_matches_dense(m):
     try:
         want = dense_inverse(m)
     except SingularMatrixError as exc:
-        with pytest.raises(SingularMatrixError) as info:
-            m.inverse()
-        assert str(info.value) == str(exc)
+        for method in (m.inverse, m.check_invertible):
+            with pytest.raises(SingularMatrixError) as info:
+                method()
+            assert str(info.value) == str(exc)
         return
+    m.check_invertible()
     got = m.inverse()
     assert got.eq(want)
     assert got.format_rows() == want.format_rows()

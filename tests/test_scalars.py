@@ -1,5 +1,6 @@
 """Exact/float scalar backends: grammar, arithmetic, roots, agreement."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from ybtk.errors import ScalarSyntaxError, UnknownSymbolError
 from ybtk.scalars import (
     Field,
     FieldTag,
+    RatFun,
     exact_tag,
     float_tag,
     format_scalar,
@@ -19,6 +21,8 @@ from ybtk.scalars import (
     scalar_invert,
     substitute,
 )
+
+from helpers import FractionRatFun
 
 Q = Field(exact_tag("q"))
 PQ = Field(exact_tag("p", "q"))
@@ -250,6 +254,90 @@ def test_sqrt_squares_back(a):
     r = monomial_sqrt(a * a)
     if r is not None:
         assert r * r == a * a
+
+
+# ---------------------------------------------------------------------------
+# Gaussian-integer coefficients against the Fraction-coefficient reference
+
+
+def _assert_integral(x):
+    """int coefficient parts, a joint content of 1, a positive leading denominator."""
+    parts = [v for p in (x.num, x.den) for c in p.terms.values() for v in c]
+    assert all(type(v) is int for v in parts), parts
+    assert math.gcd(*parts) == 1
+    lead = x.den.terms[max(x.den.terms)]
+    assert lead[0] > 0 or (lead[0] == 0 and lead[1] > 0)
+
+
+@st.composite
+def _laurent_pairs(draw, syms):
+    """One random Gaussian-rational Laurent polynomial as a RatFun and as its reference."""
+    field = Field(exact_tag(*syms, imaginary=True))
+    exps = st.tuples(*[st.integers(-3, 3)] * len(syms))
+    terms = draw(st.lists(st.tuples(_rationals, _rationals, exps), max_size=3))
+    value, ref = field.zero, FractionRatFun.from_gauss(syms, 0)
+    for re, im, mono in terms:
+        term, ref_term = RatFun.from_gauss(syms, re, im), FractionRatFun.from_gauss(syms, re, im)
+        for name, e in zip(syms, mono):
+            term = term * field.sym(name) ** e
+            ref_term = ref_term * FractionRatFun.gen(syms, name) ** e
+        value, ref = value + term, ref + ref_term
+    return value, ref
+
+
+def _op_results(a, b, c):
+    out = [a + b, a - b, a * b]
+    if not b.is_zero:
+        quo = a / b
+        out += [quo, quo + c, quo - c, quo * c, quo * b]
+    return out
+
+
+@pytest.mark.parametrize("syms", [("q",), ("p", "q")])
+def test_integer_coefficients_match_fraction_reference(syms):
+    pairs = _laurent_pairs(syms)
+
+    @given(pairs, pairs, pairs)
+    @settings(max_examples=50, deadline=None)
+    def check(a, b, c):
+        got = _op_results(a[0], b[0], c[0])
+        want = _op_results(a[1], b[1], c[1])
+        for x, ref in zip(got, want):
+            _assert_integral(x)
+            assert format_scalar(x) == ref.text()
+        values = [a, b] + list(zip(got, want))
+        for x, x_ref in values:
+            for y, y_ref in values:
+                assert (x == y) == (x_ref == y_ref)
+
+    check()
+
+
+def test_zero_literals_and_zero_products_share_the_field_zero():
+    x = q("q + 1")
+    assert Q.parse("0") is Q.zero and Q.from_int(0) is Q.zero
+    assert x * Q.zero is Q.zero and Q.zero * x is Q.zero
+
+
+def test_no_float_from_integer_division():
+    gauss = Field(exact_tag(imaginary=True))
+    x = parse_scalar("(1+2i)/(3-i)", gauss.tag)
+    _assert_integral(x)
+    assert format_scalar(x) == "1/10 + 7/10*i"
+    assert x.as_gauss() == (Fraction(1, 10), Fraction(7, 10))
+    assert all(type(v) is Fraction for v in x.as_gauss())
+    root = monomial_sqrt(q("9/4*q^2"))
+    _assert_integral(root)
+    assert format_scalar(root) == "3/2*q"
+    third = q("q/3")
+    _assert_integral(third)
+    assert format_scalar(third) == "1/3*q"
+    point = {"q": parse_scalar("1/2 + 1/3 i", gauss.tag)}
+    for text, want in [("(q^2 + 1)/(2q - i)", "37/40 + 77/120*i"),
+                       ("(3q^2 + i)/(q + 1)", "93/170 + 103/85*i")]:
+        value = substitute(parse_scalar(text, QI.tag), point, gauss)
+        _assert_integral(value)
+        assert format_scalar(value) == want
 
 
 # ---------------------------------------------------------------------------
