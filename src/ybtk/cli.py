@@ -35,7 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from . import catalog as catalog_mod
 from .errors import (
@@ -99,6 +99,8 @@ class MatrixFile:
     mu: list[str] | None = None
     alpha: str | None = None
     beta: str | None = None
+    # the value of each distinct scalar text, parsed once by read_matrix
+    _values: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         field_dict: dict = {"backend": self.tag.backend}
@@ -176,11 +178,15 @@ def read_matrix(path: str) -> MatrixFile:
         if value is not None and not isinstance(value, str):
             raise MatrixFileError("'%s' must be a scalar string" % key)
     mf = MatrixFile(n, tag, list(entries), mu, alpha, beta)
-    # every scalar string must parse under the declared field
+    # every scalar string must parse under the declared field; each distinct
+    # text is parsed once, in file order, so the first bad one is named
     field = Field(tag)
+    values = mf._values
     for text in mf.entries + (mf.mu or []) + [x for x in (alpha, beta) if x]:
+        if text in values:
+            continue
         try:
-            field.parse(text)
+            values[text] = field.parse(text)
         except (ScalarSyntaxError, UnknownSymbolError, ZeroDivisionError) as exc:
             raise MatrixFileError("bad scalar %r: %s" % (text, exc)) from exc
     return mf
@@ -195,10 +201,8 @@ def write_report(report: EnhancementReport) -> str:
     return "\n".join(report.lines())
 
 
-def _square_from_strings(field: Field, dim: int, texts) -> Mat:
-    values = [field.parse(t) for t in texts]
-    rows = [values[i * dim:(i + 1) * dim] for i in range(dim)]
-    return Mat.from_rows(field, rows)
+def _square(field: Field, dim: int, values) -> Mat:
+    return Mat.from_rows(field, [values[i * dim:(i + 1) * dim] for i in range(dim)])
 
 
 def _parse_bindings(pairs, field: Field):
@@ -232,10 +236,12 @@ def _load(args) -> LoadedInput:
     if tag.backend == "float" and getattr(args, "tolerance", None):
         tag = FieldTag("float", (), True, args.tolerance)
     field = Field(tag)
-    r_mat = _square_from_strings(field, mf.n * mf.n, mf.entries)
-    mu = _square_from_strings(field, mf.n, mf.mu) if mf.mu is not None else None
-    alpha = field.parse(mf.alpha) if mf.alpha is not None else None
-    beta = field.parse(mf.beta) if mf.beta is not None else None
+    # the values read_matrix parsed; a float value does not depend on the tolerance
+    values = mf._values
+    r_mat = _square(field, mf.n * mf.n, [values[t] for t in mf.entries])
+    mu = _square(field, mf.n, [values[t] for t in mf.mu]) if mf.mu is not None else None
+    alpha = values[mf.alpha] if mf.alpha is not None else None
+    beta = values[mf.beta] if mf.beta is not None else None
 
     numeric = bool(getattr(args, "numeric", False))
     if not field.exact:

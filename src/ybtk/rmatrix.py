@@ -299,7 +299,9 @@ def enhance(r: Tensor4) -> Enhancement:
     """Construct the enhanced pairs and quadruples attached to R.
 
     Requires biinvertibility and VU = alpha^2 I with a representable
-    alpha.  Every returned object has already passed its verifier.
+    alpha.  Every returned object has already passed its verifier's
+    axioms; the four checks share one inverse of R, and on the exact
+    backend one braid-relation run per braid form.
     """
     outcome = enhancement_test(r)
     if not outcome.biinvertible:
@@ -322,21 +324,30 @@ def enhance(r: Tensor4) -> Enhancement:
         EnhancedQuadruple(pr, u, inv_alpha, alpha, "PR"),
         EnhancedQuadruple(rp, v, inv_alpha, alpha, "RP"),
     ]
-    for pair in pairs:
-        report = verify_pair(pair.s, pair.mu)
-        if not report.ok:
-            raise NotEnhanceableError(
-                "constructed pair (%s) fails verification: %s"
-                % (pair.provenance, "; ".join(report.lines()))
-            )
-    for quad in quadruples:
-        report = verify_quadruple(quad.s, quad.mu, quad.alpha, quad.beta)
-        if not report.ok:
-            raise NotEnhanceableError(
-                "constructed quadruple (%s) fails verification: %s"
-                % (quad.provenance, "; ".join(report.lines()))
-            )
+    # one inverse for all four: (PR)^-1 = R^-1 P, (RP)^-1 = P R^-1 and
+    # (alpha S)^-1 = alpha^-1 S^-1
+    r_inv = r.inverse()
+    inverses = [r_inv.permute_axes((0, 1, 3, 2)), r_inv.permute_axes((1, 0, 2, 3))]
+    # the braid relation is homogeneous of degree 3 in S, so alpha S and S
+    # pass or fail it together; float tolerance is not scale-invariant
+    braid = [_yb3(pair.s) for pair in pairs]
+    for pair, s_inv, yb3 in zip(pairs, inverses, braid):
+        report = _pair_report(pair.s, pair.mu, s_inv.scale(inv_alpha), yb3)
+        _require("pair", pair.provenance, report)
+    for quad, s_inv, yb3 in zip(quadruples, inverses, braid):
+        if not r.field.exact:
+            yb3 = _yb3(quad.s)
+        report = _quadruple_report(quad.s, quad.mu, quad.alpha, quad.beta, s_inv, yb3)
+        _require("quadruple", quad.provenance, report)
     return Enhancement(alpha, pairs, quadruples)
+
+
+def _require(kind: str, provenance: str, report: EnhancementReport) -> None:
+    if not report.ok:
+        raise NotEnhanceableError(
+            "constructed %s (%s) fails verification: %s"
+            % (kind, provenance, "; ".join(report.lines()))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -374,19 +385,27 @@ def verify_quadruple(s: Tensor4, mu: Mat, alpha: Scalar, beta: Scalar) -> Enhanc
     f = s.field
     if f.is_zero(alpha) or f.is_zero(beta):
         raise ValueError("alpha and beta must be nonzero")
-    s_inv = s.inverse()  # Singular propagates
+    return _quadruple_report(s, mu, alpha, beta, s.inverse(), _yb3(s))  # Singular propagates
+
+
+def _quadruple_report(
+    s: Tensor4, mu: Mat, alpha: Scalar, beta: Scalar, s_inv: Tensor4, yb3: AxiomResult
+) -> EnhancementReport:
+    """``verify_quadruple`` given S^-1 and the braid relation's result."""
+    f = s.field
     n = s.n
     report = EnhancementReport()
-    report.results["YB3"] = _yb3(s)
+    report.results["YB3"] = yb3
 
     mumu = embed(mu, "both")
+    s_mumu = s @ mumu
     report.results["ENH1"] = _compare(
-        (s @ mumu).mat, (mumu @ s).mat, "S does not commute with mu(x)mu"
+        s_mumu.mat, (mumu @ s).mat, "S does not commute with mu(x)mu"
     )
 
     inv_alpha = scalar_invert(alpha)
     plus = _compare(
-        (s @ mumu).partial_trace2(),
+        s_mumu.partial_trace2(),
         mu.scale(alpha * beta),
         "positive-sign trace normalisation",
     )
@@ -415,12 +434,16 @@ def verify_quadruple(s: Tensor4, mu: Mat, alpha: Scalar, beta: Scalar) -> Enhanc
 
 def verify_pair(s: Tensor4, mu: Mat) -> EnhancementReport:
     """Check the duality-functor axioms for (S, mu); both must be invertible."""
+    return _pair_report(s, mu, s.inverse(), _yb3(s))
+
+
+def _pair_report(s: Tensor4, mu: Mat, s_inv: Tensor4, yb3: AxiomResult) -> EnhancementReport:
+    """``verify_pair`` given S^-1 and the braid relation's result."""
     f = s.field
     n = s.n
-    s_inv = s.inverse()
     mu_inv = mu.inverse()
     report = EnhancementReport()
-    report.results["YB3"] = _yb3(s)
+    report.results["YB3"] = yb3
 
     mumu = embed(mu, "both")
     report.results["ENH1"] = _compare(

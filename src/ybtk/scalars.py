@@ -576,10 +576,9 @@ def monomial_sqrt(s: Scalar):
         s = RatFun(s.syms, collapsed[0], collapsed[1], reduce=False)
     (mn, cn), = s.num.terms.items()
     (md, cd), = s.den.terms.items()
-    if cn[1] or cd[1]:
-        return None
-    c = Fraction(cn[0], cd[0])
-    if c <= 0:
+    # num and den may share a Gaussian unit, as in (i q^2)/(i)
+    c, im = _cdiv(cn, cd)
+    if im or c <= 0:
         return None
     if any(e % 2 for e in mn) or any(e % 2 for e in md):
         return None

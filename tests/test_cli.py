@@ -6,12 +6,13 @@ import time
 import pytest
 
 from ybtk.catalog import families, fixture
+from ybtk import scalars
 from ybtk.cli import MatrixFile, main, read_matrix, write_matrix
 from ybtk.errors import MatrixFileError, ToolkitError
 from ybtk.rmatrix import enhance
 from ybtk.scalars import Field, FieldTag, exact_tag
 
-from helpers import perturbed, sl_n_r, use_dense_references
+from helpers import perturbed, sl_n_entries, sl_n_r, use_dense_references
 
 TRIVIAL = {
     "n": 2,
@@ -98,6 +99,66 @@ def test_read_matrix_rejects_numeric_enhancement_data(tmp_path, capsys):
             read_matrix(path)
         assert main(["verify", path]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "enhance"])
+def test_each_distinct_scalar_text_is_parsed_once(tmp_path, monkeypatch, command):
+    entries = sl_n_entries(5)
+    field = {"backend": "exact", "indeterminates": ["q"], "imaginary": False}
+    path = write_json(tmp_path / "sl5.json", {"n": 5, "field": field, "entries": entries})
+    parsed = []
+    original = scalars.parse_scalar
+
+    def counted(text, tag):
+        parsed.append(text)
+        return original(text, tag)
+
+    monkeypatch.setattr(scalars, "parse_scalar", counted)
+    assert len(entries) == 625
+    assert len(read_matrix(path).entries) == 625
+    assert sorted(parsed) == sorted(set(entries))
+    parsed.clear()
+    assert main([command, path]) == 0
+    assert sorted(parsed) == sorted(set(entries))
+
+
+def test_bad_scalar_names_the_first_bad_text_in_file_order(tmp_path):
+    entries = list(TRIVIAL["entries"])
+    entries[5] = "1/0"
+    entries[9] = "x"
+    entries[12] = "1/0"
+    mu = ["y", "0", "0", "1"]
+    path = write_json(tmp_path / "bad.json", dict(TRIVIAL, entries=entries, mu=mu))
+    with pytest.raises(MatrixFileError, match=r"^bad scalar '1/0'"):
+        read_matrix(path)
+    entries[5] = "0"
+    path = write_json(tmp_path / "bad2.json", dict(TRIVIAL, entries=entries, mu=mu))
+    with pytest.raises(MatrixFileError, match=r"^bad scalar 'x'"):
+        read_matrix(path)
+    entries[9] = entries[12] = "0"
+    path = write_json(tmp_path / "bad3.json", dict(TRIVIAL, entries=entries, mu=mu))
+    with pytest.raises(MatrixFileError, match=r"^bad scalar 'y'"):
+        read_matrix(path)
+
+
+def test_float_file_verdicts_follow_the_tolerance_option(tmp_path, capsys):
+    # sl_2 at q = 1.5 with q - 1/q cut to 0.83333: the equation fails at the
+    # file's 1e-9 and holds at 1e-4
+    entries = ["1.5", "0", "0", "0",
+               "0", "1", "0", "0",
+               "0", "0.83333", "1", "0",
+               "0", "0", "0", "1.5"]
+    field = {"backend": "float", "tolerance": 1e-9}
+    path = write_json(tmp_path / "cut.json", {"n": 2, "field": field, "entries": entries})
+    capsys.readouterr()
+    assert main(["check", path]) == 1
+    assert "QYB: FAIL" in capsys.readouterr().out
+    assert main(["check", path, "--tolerance", "1e-4"]) == 0
+    assert "QYB: pass" in capsys.readouterr().out
+    assert main(["enhance", path]) == 1
+    assert "constructed pair (PR) fails verification: YB3: FAIL" in capsys.readouterr().err
+    assert main(["enhance", path, "--tolerance", "1e-4"]) == 0
+    assert "quadruple (RP)" in capsys.readouterr().out
 
 
 def test_parenthesised_product_entry_reads_and_nested_quotient_exits_2(tmp_path, capsys):

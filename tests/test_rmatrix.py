@@ -29,7 +29,7 @@ from ybtk.rmatrix import (
     verify_quadruple,
 )
 from ybtk.scalars import Field, exact_tag, float_tag
-from ybtk.tensors import Mat, Tensor4, permutation
+from ybtk.tensors import Mat, Tensor4, embed, permutation
 
 from helpers import entrywise_contraction, rand_invertible, rand_tensor4, sl_n_r
 
@@ -58,7 +58,8 @@ def biinvertible_fixtures():
     return [fixture(fid, variant=v) for fid, v in BIINVERTIBLE]
 
 
-def enhanced_pairs():
+def enhanced_points():
+    """(family id, R) at each of ENHANCED_POINTS."""
     out = []
     for fid, variant, bindings in ENHANCED_POINTS:
         if fid == 8:
@@ -70,9 +71,12 @@ def enhanced_pairs():
         else:
             fx = fixture(fid, bindings=bindings, variant=variant)
             r = fx.r
-        result = enhance(r)
-        out.extend((pair, fid) for pair in result.pairs)
+        out.append((fid, r))
     return out
+
+
+def enhanced_pairs():
+    return [(pair, fid) for fid, r in enhanced_points() for pair in enhance(r).pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +275,98 @@ def test_enhance_no_monomial_root():
     assert check_qyb(scaled).ok
     with pytest.raises(NoMonomialRootError):
         enhance(scaled)
+
+
+def enhanceable_inputs():
+    return enhanced_points() + [("sl3", sl_n_r(Field(exact_tag("q")), 3))]
+
+
+def test_enhance_results_pass_the_public_verifiers():
+    for label, r in enhanceable_inputs():
+        result = enhance(r)
+        for pair in result.pairs:
+            assert verify_pair(pair.s, pair.mu).ok, label
+        for quad in result.quadruples:
+            assert verify_quadruple(quad.s, quad.mu, quad.alpha, quad.beta).ok, label
+
+
+def counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_exact_enhance_runs_the_braid_relation_once_per_braid_form(monkeypatch):
+    calls = counting(monkeypatch, rmatrix, "_yb3")
+    for label, r in enhanceable_inputs():
+        calls.clear()
+        enhance(r)
+        assert len(calls) == 2, label
+
+
+def test_float_enhance_checks_each_quadruple_braid_relation(monkeypatch):
+    fx = fixture(7)
+    r = Tensor4(2, fx.r.mat.evaluate({"q": complex(1.3, 0.2), "p": complex(0.7, -0.1)}, C))
+    calls = counting(monkeypatch, rmatrix, "_yb3")
+    result = enhance(r)
+    assert len(calls) == 4
+    for quad in result.quadruples:
+        assert verify_quadruple(quad.s, quad.mu, quad.alpha, quad.beta).ok
+
+
+def test_enhance_forms_two_full_size_inverses(monkeypatch):
+    # the second transpose's inverse, and one of R shared by all four checks
+    calls = counting(monkeypatch, Mat, "inverse")
+    r = sl_n_r(Field(exact_tag("q")), 3)
+    enhance(r)
+    assert sum(1 for (m,) in calls if m.rows == 9) == 2
+
+
+def test_shared_inverses_of_the_braid_forms():
+    r = sl_n_r(Field(exact_tag("q")), 3)
+    pr, rp = braid_forms(r)
+    r_inv = r.inverse()
+    assert r_inv.permute_axes((0, 1, 3, 2)).eq(pr.inverse())
+    assert r_inv.permute_axes((1, 0, 2, 3)).eq(rp.inverse())
+
+
+def test_enhance_refusal_texts():
+    not_scalar = "V*U is not a nonzero scalar multiple of the identity"
+    for fid in (1, 3):
+        with pytest.raises(NotEnhanceableError) as exc:
+            enhance(fixture(fid).r)
+        assert str(exc.value) == not_scalar
+    with pytest.raises(NotEnhanceableError) as exc:
+        enhance(fixture(8).r)
+    assert str(exc.value) == (
+        "constructed pair (PR) fails verification: YB3: FAIL (witness (0, 3)) braid relation"
+        " at (0, 3): p^2*q != q^3; ENH1: pass; ENH3: pass; ENH4: pass; ENH5: pass;"
+        " ENH4~ENH5: agree"
+    )
+
+
+def test_enhance_exact_imaginary_root_through_a_shared_unit():
+    # family 7 conjugated by D (x) D with D = diag(1, i): V U = alpha^2 I
+    # arrives with a Gaussian unit in both num and den
+    fx = fixture(7)
+    f = Field(exact_tag(*fx.field.tag.indeterminates, imaginary=True))
+    r0 = Mat.from_rows(f, [[f.parse(x) for x in row] for row in fx.r.mat.format_rows()])
+    d = embed(Mat.from_rows(f, [[f.one, f.zero], [f.zero, f.parse("i")]]), "both").mat
+    r = Tensor4(2, d @ r0 @ d.inverse())
+    alpha_sq = enhancement_test(r).alpha_sq
+    assert any(c[1] for c in alpha_sq.den.terms.values())
+    result = enhance(r)
+    assert result.alpha == f.parse("q^-2")
+    for pair in result.pairs:
+        assert verify_pair(pair.s, pair.mu).ok
+    for quad in result.quadruples:
+        assert verify_quadruple(quad.s, quad.mu, quad.alpha, quad.beta).ok
 
 
 # ---------------------------------------------------------------------------

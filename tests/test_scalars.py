@@ -192,6 +192,22 @@ def test_monomial_sqrt_examples():
     assert root == parse_scalar("p*q^-3/3", PQ.tag)
 
 
+def test_monomial_sqrt_through_a_shared_gaussian_unit():
+    # (i q^2)/(i) is stored with the unit in both num and den
+    x = QI.parse("i*q^2") * QI.parse("i").invert()
+    assert format_scalar(x) == "q^2"
+    assert monomial_sqrt(x) == QI.parse("q")
+    y = QI.parse("4*i*q^-2") * QI.parse("9*i").invert()
+    assert monomial_sqrt(y) == QI.parse("2/3*q^-1")
+
+
+def test_monomial_sqrt_gaussian_non_squares_stay_none():
+    assert monomial_sqrt(QI.parse("i*q^2")) is None
+    assert monomial_sqrt(QI.parse("-i*q^2") * QI.parse("i").invert()) is None
+    assert monomial_sqrt(QI.parse("i*q^2") * QI.parse("1+i").invert()) is None
+    assert monomial_sqrt(QI.parse("2*i*q^2") * QI.parse("i").invert()) is None
+
+
 def test_monomial_sqrt_float():
     z = monomial_sqrt(complex(-4))
     assert abs(z - 2j) < 1e-12
