@@ -67,7 +67,7 @@ from .rmatrix import (
     verify_pair,
     verify_quadruple,
 )
-from .scalars import Field, FieldTag, Scalar, format_scalar, substitute
+from .scalars import Field, FieldTag, Scalar, float_tag, format_scalar, substitute
 from .tensors import Mat, Tensor4
 
 __all__ = ["MatrixFile", "read_matrix", "write_matrix", "write_report", "main"]
@@ -233,7 +233,7 @@ class LoadedInput:
 def _load(args) -> LoadedInput:
     mf = read_matrix(args.file)
     tag = mf.tag
-    if tag.backend == "float" and getattr(args, "tolerance", None):
+    if tag.backend == "float" and getattr(args, "tolerance", None) is not None:
         tag = FieldTag("float", (), True, args.tolerance)
     field = Field(tag)
     # the values read_matrix parsed; a float value does not depend on the tolerance
@@ -257,7 +257,8 @@ def _load(args) -> LoadedInput:
                 raise BadBindingError(
                     "--numeric needs --at bindings for: %s" % ", ".join(remaining)
                 )
-            target = Field(FieldTag("float", (), True, getattr(args, "tolerance", None) or 1e-9))
+            tolerance = getattr(args, "tolerance", None)
+            target = Field(float_tag(1e-9 if tolerance is None else tolerance))
         else:
             target = Field(FieldTag("exact", remaining, True))
         values = {}
@@ -342,6 +343,8 @@ def _cmd_verify(args) -> int:
     if (loaded.alpha is None) != (loaded.beta is None):
         raise MatrixFileError("alpha and beta must be supplied together")
     if loaded.alpha is not None:
+        if loaded.field.is_zero(loaded.alpha) or loaded.field.is_zero(loaded.beta):
+            raise MatrixFileError("alpha and beta must be nonzero")
         report = verify_quadruple(loaded.r, loaded.mu, loaded.alpha, loaded.beta)
     else:
         report = verify_pair(loaded.r, loaded.mu)
@@ -441,6 +444,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    try:
+        return float_tag(float(text)).tolerance
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ybtk",
@@ -463,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--tolerance",
-            type=float,
+            type=_tolerance,
             default=None,
             help="relative tolerance for float-backend comparisons",
         )

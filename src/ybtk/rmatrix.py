@@ -39,7 +39,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .scalars import Scalar, monomial_sqrt, scalar_invert
-from .tensors import Mat, Tensor4, embed, permutation, slot_compare, yb_sides, yb_steps
+from .tensors import Mat, Tensor4, embed, permutation, yb_sides
 
 __all__ = [
     "AxiomResult",
@@ -122,15 +122,12 @@ def _compare(lhs: Mat, rhs: Mat, label: str = "") -> AxiomResult:
     ok, residual, witness = lhs.compare(rhs)
     detail = ""
     if not ok and lhs.field.exact and witness is not None:
-        i, j = witness
-        detail = _mismatch(lhs.field, label, witness, lhs.at(i, j), rhs.at(i, j))
+        f, (i, j) = lhs.field, witness
+        detail = "%sat %s: %s != %s" % ((label + " ") if label else "", witness,
+                                        f.format(lhs.at(i, j)), f.format(rhs.at(i, j)))
     elif not ok and label:
         detail = label
     return AxiomResult(ok, residual, witness, detail)
-
-
-def _mismatch(f, label: str, witness: tuple, lhs: Scalar, rhs: Scalar) -> str:
-    return "%sat %s: %s != %s" % ((label + " ") if label else "", witness, f.format(lhs), f.format(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +136,10 @@ def _mismatch(f, label: str, witness: tuple, lhs: Scalar, rhs: Scalar) -> str:
 
 def check_qyb(r: Tensor4) -> AxiomResult:
     """Quantum Yang-Baxter check; the witness is a component equation."""
-    if r.field.exact:
-        found = slot_compare(r.field, r.n, 3, *yb_steps(r))
-        if found is None:
-            return AxiomResult(True)
-        residual, witness = None, found[0]
-    else:
-        left, right = yb_sides(r)
-        ok, residual, witness = left.compare(right)
-        if ok:
-            return AxiomResult(True, residual)
+    left, right = yb_sides(r)
+    ok, residual, witness = left.compare(right)
+    if ok:
+        return AxiomResult(True, residual)
     n = r.n
     row, col = witness
     a, rest = divmod(row, n * n)
@@ -355,17 +346,10 @@ def _require(kind: str, provenance: str, report: EnhancementReport) -> None:
 
 
 def _yb3(s: Tensor4) -> AxiomResult:
-    n, f = s.n, s.field
     s12, s23 = [(s.mat, 0)], [(s.mat, 1)]
-    left, right = s12 + s23 + s12, s23 + s12 + s23
-    if f.exact:
-        found = slot_compare(f, n, 3, left, right)
-        if found is None:
-            return AxiomResult(True)
-        witness, lhs, rhs = found
-        return AxiomResult(False, None, witness, _mismatch(f, "braid relation", witness, lhs, rhs))
-    eye = Mat.identity(f, n ** 3)
-    return _compare(eye.apply_slots(n, left), eye.apply_slots(n, right), "braid relation")
+    eye = Mat.identity(s.field, s.n ** 3)
+    return _compare(eye.apply_slots(s.n, s12 + s23 + s12), eye.apply_slots(s.n, s23 + s12 + s23),
+                    "braid relation")
 
 
 def _invertible(m: Mat) -> bool:

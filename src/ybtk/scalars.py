@@ -458,8 +458,8 @@ class FieldTag:
         if self.backend == "float":
             if names:
                 raise ValueError("the float backend has no indeterminates")
-            if not self.tolerance > 0:
-                raise ValueError("tolerance must be positive")
+            if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+                raise ValueError("tolerance must be finite and positive, got %r" % (self.tolerance,))
 
 
 def exact_tag(*indeterminates: str, imaginary: bool = False) -> FieldTag:

@@ -1,4 +1,4 @@
-"""Dense matrices and four-index (two-slot) operators over either backend.
+"""Matrices and four-index (two-slot) operators over either backend.
 
 Flattening convention, fixed project-wide: a two-slot operator ``T`` with
 entries ``T^{ab}_{cd}`` (indices 0-based in code) is the ``n^2 x n^2``
@@ -29,8 +29,8 @@ Two primitives carry all slot arithmetic, on both backends:
 
 ``slot_trace(field, n, m, steps)`` is the trace of the product a step
 list builds on the identity of ``(C^n)^(x m)``, the Markov trace behind
-``turaev``.  The exact backend sums the diagonal of its sparse state.
-The float backend allocates no full state.  Leading diagonal one-slot
+``turaev``.  The exact backend sums the diagonal of the product.  The
+float backend allocates no full state.  Leading diagonal one-slot
 steps (``mu^T`` on every slot, for a diagonal ``mu``) become the scale of
 the starting identity columns.  The other steps then decide the path:
 
@@ -47,12 +47,12 @@ the starting identity columns.  The other steps then decide the path:
 * Dense.  With one sector, or a step that changes the factor count, the
   columns of the whole space run the steps and keep their diagonal.
 
-``slot_compare(field, n, m, left, right)`` is the exact equality test of
-the products two step lists build, behind ``check_qyb`` and the braid
-relation of the verifiers.  It compares the two sparse states entry by
-entry over the union of their supports, in row-major order, so it finds
-the first differing entry that ``Mat.compare`` finds on the dense
-products without forming them.
+An exact ``Mat`` stores only its nonzero entries, as ``{row: {col: x}}``
+dicts with no empty row, so the exact kernel runs on the matrix itself
+and costs the nonzeros of the state times those of the operator.
+Wherever entries are summed, the rows and columns are walked in
+ascending order, as a dense loop would: ``RatFun`` keeps no gcd, so the
+order of additions decides the printed form of a sum.
 
 Float states are processed in column blocks of ``_BLOCK_ENTRIES``
 entries (sector blocks: ``_SECTOR_BLOCK_ENTRIES``).  One block, or a
@@ -66,6 +66,7 @@ repeated calls agree bitwise.
 from __future__ import annotations
 
 import functools
+import operator
 import os
 import threading
 from typing import Callable
@@ -91,12 +92,18 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 _POOL = None
 
 
-class Mat:
-    """A dense rows x cols matrix over a Field.
+_NO_ROW: dict = {}  # the missing row of an exact matrix; never written
 
-    Exact backend: entries are RatFun values in nested lists.  Float
-    backend: a complex128 ndarray.  Instances are treated as immutable;
-    all operations return new matrices.
+
+class Mat:
+    """A rows x cols matrix over a Field.
+
+    Exact backend: sparse rows ``{row: {col: x}}`` of the nonzero RatFun
+    entries; a zero is never stored, nor an empty row, and ``at`` /
+    ``tolist`` give ``field.zero`` off the support.  Sums walk rows and
+    columns in ascending order.  Float backend: a complex128 ndarray.
+    Instances are treated as immutable; all operations return new
+    matrices.
     """
 
     __slots__ = ("field", "rows", "cols", "_a")
@@ -112,15 +119,13 @@ class Mat:
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Mat":
         if field.exact:
-            z = field.zero
-            return Mat(field, rows, cols, [[z] * cols for _ in range(rows)])
+            return Mat(field, rows, cols, {})
         return Mat(field, rows, cols, np.zeros((rows, cols), dtype=complex))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
         if field.exact:
-            z, o = field.zero, field.one
-            return Mat(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
+            return Mat(field, n, n, {i: {i: field.one} for i in range(n)})
         return Mat(field, n, n, np.eye(n, dtype=complex))
 
     @staticmethod
@@ -130,13 +135,14 @@ class Mat:
         if any(len(r) != cols for r in entries):
             raise ValueError("ragged matrix rows")
         if field.exact:
-            return Mat(field, rows, cols, [list(r) for r in entries])
+            return Mat(field, rows, cols, _sparse((i, enumerate(r)) for i, r in enumerate(entries)))
         return Mat(field, rows, cols, np.array(entries, dtype=complex))
 
     @staticmethod
     def build(field: Field, rows: int, cols: int, fn: Callable[[int, int], Scalar]) -> "Mat":
         if field.exact:
-            return Mat(field, rows, cols, [[fn(i, j) for j in range(cols)] for i in range(rows)])
+            return Mat(field, rows, cols,
+                       _sparse((i, [(j, fn(i, j)) for j in range(cols)]) for i in range(rows)))
         a = np.empty((rows, cols), dtype=complex)
         for i in range(rows):
             for j in range(cols):
@@ -147,12 +153,14 @@ class Mat:
 
     def at(self, i: int, j: int) -> Scalar:
         if self.field.exact:
-            return self._a[i][j]
+            return self._a.get(i, _NO_ROW).get(j, self.field.zero)
         return complex(self._a[i, j])
 
     def tolist(self) -> list:
         if self.field.exact:
-            return [list(r) for r in self._a]
+            zero = self.field.zero
+            return [[row.get(j, zero) for j in range(self.cols)]
+                    for row in (self._a.get(i, _NO_ROW) for i in range(self.rows))]
         return [[complex(x) for x in row] for row in self._a]
 
     @property
@@ -162,40 +170,31 @@ class Mat:
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._check_shape(other)
-        if self.field.exact:
-            a, b = self._a, other._a
-            return Mat(
-                self.field,
-                self.rows,
-                self.cols,
-                [[a[i][j] + b[i][j] for j in range(self.cols)] for i in range(self.rows)],
-            )
-        return Mat(self.field, self.rows, self.cols, self._a + other._a)
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "Mat") -> "Mat":
+        return self._entrywise(other, operator.sub)
+
+    def _entrywise(self, other: "Mat", op) -> "Mat":
         self._check_shape(other)
-        if self.field.exact:
-            a, b = self._a, other._a
-            return Mat(
-                self.field,
-                self.rows,
-                self.cols,
-                [[a[i][j] - b[i][j] for j in range(self.cols)] for i in range(self.rows)],
-            )
-        return Mat(self.field, self.rows, self.cols, self._a - other._a)
+        if not self.field.exact:
+            return Mat(self.field, self.rows, self.cols, op(self._a, other._a))
+        a, b, zero = self._a, other._a, self.field.zero
+        out = []
+        for i in a.keys() | b.keys():
+            ra, rb = a.get(i, _NO_ROW), b.get(i, _NO_ROW)
+            out.append((i, [(j, op(ra.get(j, zero), rb.get(j, zero))) for j in ra.keys() | rb.keys()]))
+        return Mat(self.field, self.rows, self.cols, _sparse(out))
 
     def __neg__(self) -> "Mat":
         return self.scale(self.field.from_int(-1))
 
     def scale(self, s: Scalar) -> "Mat":
         if self.field.exact:
-            return Mat(
-                self.field,
-                self.rows,
-                self.cols,
-                [[x * s for x in row] for row in self._a],
-            )
+            if not s:
+                return Mat.zeros(self.field, self.rows, self.cols)
+            return Mat(self.field, self.rows, self.cols,
+                       {i: {j: x * s for j, x in row.items()} for i, row in self._a.items()})
         return Mat(self.field, self.rows, self.cols, self._a * complex(s))
 
     def __mul__(self, s):
@@ -208,30 +207,25 @@ class Mat:
             raise ValueError("matmul shape mismatch")
         if not self.field.exact:
             return Mat(self.field, self.rows, other.cols, self._a @ other._a)
-        a, b = self._a, other._a
-        out = [[self.field.zero] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            ai = a[i]
-            oi = out[i]
-            for k in range(self.cols):
+        b = other._a
+        out = []
+        for i, ai in self._a.items():
+            acc: dict = {}
+            for k in sorted(ai):
                 x = ai[k]
-                if x.is_zero:
-                    continue
-                bk = b[k]
-                for j in range(other.cols):
-                    y = bk[j]
-                    if not y.is_zero:
-                        oi[j] = oi[j] + x * y
-        return Mat(self.field, self.rows, other.cols, out)
+                for j, y in b.get(k, _NO_ROW).items():
+                    z = acc.get(j)
+                    acc[j] = x * y if z is None else z + x * y
+            out.append((i, acc.items()))
+        return Mat(self.field, self.rows, other.cols, _sparse(out))
 
     def transpose(self) -> "Mat":
         if self.field.exact:
-            return Mat(
-                self.field,
-                self.cols,
-                self.rows,
-                [[self._a[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            )
+            out: dict = {}
+            for i, row in self._a.items():
+                for j, x in row.items():
+                    out.setdefault(j, {})[i] = x
+            return Mat(self.field, self.cols, self.rows, out)
         return Mat(self.field, self.cols, self.rows, self._a.T.copy())
 
     def trace(self) -> Scalar:
@@ -249,15 +243,12 @@ class Mat:
         if not self.field.exact:
             return complex(np.einsum("ij,ji->", self._a, other._a))
         acc = self.field.zero
-        for i in range(self.rows):
+        for i in sorted(self._a):
             row = self._a[i]
-            for j in range(self.cols):
-                x = row[j]
-                if x.is_zero:
-                    continue
-                y = other._a[j][i]
-                if not y.is_zero:
-                    acc = acc + x * y
+            for j in sorted(row):
+                y = other._a.get(j, _NO_ROW).get(i)
+                if y is not None:
+                    acc = acc + row[j] * y
         return acc
 
     def kron(self, other: "Mat") -> "Mat":
@@ -265,20 +256,9 @@ class Mat:
         cols = self.cols * other.cols
         if not self.field.exact:
             return Mat(self.field, rows, cols, np.kron(self._a, other._a))
-        out = [[self.field.zero] * cols for _ in range(rows)]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                x = self._a[i][j]
-                if x.is_zero:
-                    continue
-                for k in range(other.rows):
-                    base_r = i * other.rows + k
-                    row_o = other._a[k]
-                    row = out[base_r]
-                    for l in range(other.cols):
-                        y = row_o[l]
-                        if not y.is_zero:
-                            row[j * other.cols + l] = x * y
+        # a product of two nonzeros is nonzero: a field has no zero divisors
+        out = {i * other.rows + k: {j * other.cols + l: x * y for j, x in ra.items() for l, y in rb.items()}
+               for i, ra in self._a.items() for k, rb in other._a.items()}
         return Mat(self.field, rows, cols, out)
 
     # -- slot kernel and axis gather ---------------------------------------
@@ -286,9 +266,9 @@ class Mat:
     def apply_slots(self, n: int, steps) -> "Mat":
         """Left-apply slot-local ``(op, first)`` steps to the row factors.
 
-        See the module docstring for the slot convention.  The exact
-        backend keeps the state as dicts of nonzero entries, so each step
-        costs the nonzeros of the state times those of the operator.
+        See the module docstring for the slot convention.  On the exact
+        backend each step costs the nonzeros of the state times those of
+        the operator.
         """
         plan, rows, peak = _plan(n, self.rows, steps)
         if not self.field.exact:
@@ -299,18 +279,7 @@ class Mat:
 
             _column_blocks(plan, peak, self.cols, fill)
             return Mat(self.field, rows, self.cols, out)
-        state = {}
-        for r, row in enumerate(self._a):
-            nonzero = {c: x for c, x in enumerate(row) if not x.is_zero}
-            if nonzero:
-                state[r] = nonzero
-        zero = self.field.zero
-        out = [[zero] * self.cols for _ in range(rows)]
-        for r, row in _exact_steps(state, plan).items():
-            dense = out[r]
-            for c, x in row.items():
-                dense[c] = x
-        return Mat(self.field, rows, self.cols, out)
+        return Mat(self.field, rows, self.cols, _exact_steps(self._a, plan))
 
     def permute_axes(self, n: int, perm) -> "Mat":
         """Permute the tensor axes (row factors, then column factors).
@@ -325,9 +294,14 @@ class Mat:
         rows, cols = self.rows, self.cols
         if not self.field.exact:
             return Mat(self.field, rows, cols, self._a.reshape(-1)[idx].reshape(rows, cols))
-        flat = [x for row in self._a for x in row]
-        vals = [flat[j] for j in idx.tolist()]
-        return Mat(self.field, rows, cols, [vals[i * cols:(i + 1) * cols] for i in range(rows)])
+        # the inverse permutation sends each stored entry to its new place
+        dest = np.argsort(idx).tolist()
+        out: dict = {}
+        for i, row in self._a.items():
+            for j, x in row.items():
+                r, c = divmod(dest[i * cols + j], cols)
+                out.setdefault(r, {})[c] = x
+        return Mat(self.field, rows, cols, out)
 
     # -- comparisons ----------------------------------------------------
 
@@ -341,13 +315,18 @@ class Mat:
 
         Float backend: residual is max|difference| / max(1, |A|, |B|) and
         the witness is the argmax index on failure.  Exact backend:
-        residual is None and the witness is the first differing index.
+        residual is None and the witness is the first differing index in
+        row-major order, found on the union of the two supports.
         """
         self._check_shape(other)
         if self.field.exact:
-            for i in range(self.rows):
-                for j in range(self.cols):
-                    if not self._a[i][j] == other._a[i][j]:
+            a, b = self._a, other._a
+            for i in sorted(a.keys() | b.keys()):
+                ra, rb = a.get(i, _NO_ROW), b.get(i, _NO_ROW)
+                for j in sorted(ra.keys() | rb.keys()):
+                    x, y = ra.get(j), rb.get(j)
+                    # no zero is stored, so an entry on one support only differs
+                    if x is None or y is None or not x == y:
                         return False, None, (i, j)
             return True, None, None
         scale = max(1.0, self.max_abs(), other.max_abs())
@@ -390,7 +369,9 @@ class Mat:
             if residual > self.field.tolerance ** 0.5:
                 raise SingularMatrixError("numerically singular matrix")
             return Mat(self.field, n, n, inv)
-        return Mat(self.field, n, n, [row[n:] for row in self._gauss_jordan(True)])
+        # each row of an invertible matrix's inverse is nonzero
+        return Mat(self.field, n, n, {i: {j - n: x for j, x in row.items() if j >= n}
+                                      for i, row in enumerate(self._gauss_jordan(True))})
 
     def check_invertible(self) -> None:
         """Raise SingularMatrixError exactly when ``inverse`` would, without forming it."""
@@ -401,42 +382,38 @@ class Mat:
             raise SingularMatrixError("only square matrices are invertible")
         self._gauss_jordan(False)
 
-    def _gauss_jordan(self, augment: bool) -> list[list]:
-        """Exact elimination of the rows, with the identity appended when ``augment``.
+    def _gauss_jordan(self, augment: bool) -> list[dict]:
+        """Exact elimination of the sparse rows, with the identity appended when ``augment``.
 
         Without it only the rows below each pivot are cleared, which is
         enough to find a zero pivot column.
         """
-        n = self.rows
-        aug = [list(row) for row in self._a]
+        n, zero = self.rows, self.field.zero
+        aug = [dict(self._a.get(i, _NO_ROW)) for i in range(n)]
         if augment:
             for i, row in enumerate(aug):
-                row.extend(self.field.one if i == j else self.field.zero for j in range(n))
+                row[n + i] = self.field.one
         for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if not aug[r][col].is_zero:
-                    pivot_row = r
-                    break
+            pivot_row = next((r for r in range(col, n) if col in aug[r]), None)
             if pivot_row is None:
                 raise SingularMatrixError("singular matrix (zero pivot column %d)" % col)
-            if pivot_row != col:
-                aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
             prow = aug[col]
             inv_p = prow[col].invert()
-            # a zero entry of the pivot row stays zero and leaves its column unchanged
-            support = [j for j, x in enumerate(prow) if not x.is_zero]
-            for j in support:
-                prow[j] = prow[j] * inv_p
+            # a column missing from the pivot row is left unchanged
+            for j, x in prow.items():
+                prow[j] = x * inv_p
             for r in range(n) if augment else range(col + 1, n):
-                if r == col:
-                    continue
                 row = aug[r]
-                f = row[col]
-                if f.is_zero:
+                f = row.get(col)
+                if r == col or f is None:
                     continue
-                for j in support:
-                    row[j] = row[j] - f * prow[j]
+                for j, p in prow.items():
+                    y = row.get(j, zero) - f * p
+                    if y.is_zero:
+                        row.pop(j, None)
+                    else:
+                        row[j] = y
         return aug
 
     # -- conversion -------------------------------------------------------
@@ -449,7 +426,7 @@ class Mat:
             target,
             self.rows,
             self.cols,
-            lambda i, j: substitute(self._a[i][j], bindings, target),
+            lambda i, j: substitute(self.at(i, j), bindings, target),
         )
 
     def format_rows(self) -> list[list[str]]:
@@ -460,6 +437,16 @@ class Mat:
 
     def __repr__(self):
         return "Mat(%dx%d over %s)" % (self.rows, self.cols, self.field.tag.backend)
+
+
+def _sparse(rows) -> dict:
+    """Exact sparse rows from ``(row, ((col, x), ...))`` pairs, zeros and empty rows left out."""
+    out = {}
+    for i, entries in rows:
+        row = {j: x for j, x in entries if not x.is_zero}
+        if row:
+            out[i] = row
+    return out
 
 
 def _plan(n: int, rows: int, steps):
@@ -479,11 +466,20 @@ def _plan(n: int, rows: int, steps):
 
 
 def _exact_steps(state: dict, plan) -> dict:
-    """Run an exact plan on a state of ``{row: {col: nonzero}}`` dicts."""
+    """Run an exact plan on the sparse rows of an exact ``Mat``.
+
+    The first step walks the rows in ascending order and each operator
+    column from its top row down; later steps walk the rows in the
+    order the previous step made them.  Rows that cancel to empty are
+    left out of the result.
+    """
+    state = dict(sorted(state.items()))
     for op, _, rest in plan:
         k_in, k_out = op.cols, op.rows
-        columns = [[(i, op._a[i][j]) for i in range(k_out) if not op._a[i][j].is_zero]
-                   for j in range(k_in)]
+        columns: list = [[] for _ in range(k_in)]
+        for i in sorted(op._a):
+            for j, v in op._a[i].items():
+                columns[j].append((i, v))
         new: dict = {}
         for r, row in state.items():
             high, low = divmod(r, rest)
@@ -505,7 +501,7 @@ def _exact_steps(state: dict, plan) -> dict:
                         else:
                             target[c] = y
         state = new
-    return state
+    return {r: row for r, row in state.items() if row}
 
 
 def _matmul_steps(plan, block):
@@ -742,15 +738,14 @@ def _sector_trace(n: int, m: int, steps, start, order, sizes) -> complex:
 def slot_trace(field: Field, n: int, m: int, steps) -> Scalar:
     """Tr of the product that ``steps`` build on the identity of (C^n)^(x m).
 
-    Equals ``Mat.identity(field, n**m).apply_slots(n, steps).trace()``
-    without the dense state.  The exact backend sums the diagonal of its
-    sparse state, running the steps in their given order.  The float
-    backend folds the leading diagonal one-slot steps into the starting
-    columns, then keeps only the diagonal of each column block.  When the
-    supports of the remaining steps split the states into several
-    sectors (``_sectors``), the state is block-diagonal by sector and
-    each sector is traced on its own; otherwise, or when a step changes
-    the factor count, the columns of the whole space run through
+    Equals ``Mat.identity(field, n**m).apply_slots(n, steps).trace()``,
+    which is what the exact backend runs.  The float backend allocates no
+    full state: it folds the leading diagonal one-slot steps into the
+    starting columns, then keeps only the diagonal of each column block.
+    When the supports of the remaining steps split the states into
+    several sectors (``_sectors``), the state is block-diagonal by sector
+    and each sector is traced on its own; otherwise, or when a step
+    changes the factor count, the columns of the whole space run through
     ``_column_blocks``.
     """
     dim = n ** m
@@ -758,13 +753,7 @@ def slot_trace(field: Field, n: int, m: int, steps) -> Scalar:
     if rows != dim:
         raise ValueError("a traced product must keep the factor count")
     if field.exact:
-        state = _exact_steps({r: {r: field.one} for r in range(dim)}, plan)
-        acc = field.zero
-        for r in sorted(state):
-            x = state[r].get(r)
-            if x is not None:
-                acc = acc + x
-        return acc
+        return Mat.identity(field, dim).apply_slots(n, steps).trace()
     start, folded = _leading_diagonal(n, m, steps)
     steps, plan = steps[folded:], plan[folded:]
     order, sizes = _sectors(n, m, [op for op, _ in steps])
@@ -778,30 +767,6 @@ def slot_trace(field: Field, n: int, m: int, steps) -> Scalar:
         return complex(chain(block)[c0 + cols, cols].sum())
 
     return sum(_column_blocks(plan, peak, dim, diagonal), 0j)
-
-
-def slot_compare(field: Field, n: int, m: int, left, right):
-    """The first entry where the products of two step lists differ.
-
-    Exact backend only.  Both step lists run on the sparse identity of
-    (C^n)^(x m), as in ``slot_trace``, and the union of the two supports
-    is walked in row-major order, so the entry found is the one that
-    ``Mat.compare`` finds on the dense products.  Returns None when the
-    products are equal, else ``((row, col), lhs, rhs)`` with the two
-    entries there (``field.zero`` off a support).
-    """
-    dim = n ** m
-    lhs, rhs = [_exact_steps({r: {r: field.one} for r in range(dim)}, _plan(n, dim, steps)[0])
-                for steps in (left, right)]
-    zero = field.zero
-    for r in sorted(lhs.keys() | rhs.keys()):
-        lrow, rrow = lhs.get(r, {}), rhs.get(r, {})
-        for c in sorted(lrow.keys() | rrow.keys()):
-            a, b = lrow.get(c), rrow.get(c)
-            # a sparse state holds no zeros, so a missing entry differs
-            if a is None or b is None or not a == b:
-                return (r, c), zero if a is None else a, zero if b is None else b
-    return None
 
 
 class Tensor4:
@@ -934,15 +899,9 @@ def yb_sides(r: Tensor4) -> tuple[Mat, Mat]:
     Returns (R12 R13 R23, R23 R13 R12) as n^3 x n^3 matrices in the
     fixed three-slot flattening.
     """
-    eye = Mat.identity(r.field, r.n ** 3)
-    left, right = yb_steps(r)
-    return eye.apply_slots(r.n, left), eye.apply_slots(r.n, right)
-
-
-def yb_steps(r: Tensor4) -> tuple[list, list]:
-    """The step lists of ``yb_sides`` on three slots."""
     p = permutation(r.field, r.n).mat
     r12, r23 = [(r.mat, 0)], [(r.mat, 1)]
     r13 = [(p, 1), (r.mat, 0), (p, 1)]
+    eye = Mat.identity(r.field, r.n ** 3)
     # a product's rightmost factor is its first step
-    return r23 + r13 + r12, r12 + r13 + r23
+    return eye.apply_slots(r.n, r23 + r13 + r12), eye.apply_slots(r.n, r12 + r13 + r23)

@@ -138,18 +138,18 @@ def entrywise_contraction(first: Tensor4, second: Tensor4) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# dense references for the exact fast paths: slot_compare, RatFun.__eq__
-# and the sparse Gauss-Jordan of Mat.inverse
+# dense references for the exact fast paths: the sparse Mat.compare,
+# RatFun.__eq__ and the sparse Gauss-Jordan of Mat.inverse
 
 
-def dense_slot_compare(field: Field, n: int, m: int, left, right):
-    """``slot_compare`` from the dense products and ``Mat.compare``."""
-    eye = Mat.identity(field, n ** m)
-    lhs, rhs = eye.apply_slots(n, left), eye.apply_slots(n, right)
-    ok, _, witness = lhs.compare(rhs)
-    if ok:
-        return None
-    return witness, lhs.at(*witness), rhs.at(*witness)
+def entrywise_compare(a: Mat, b: Mat):
+    """Exact ``Mat.compare`` as a row-major walk over every entry of ``tolist()``."""
+    a._check_shape(b)
+    for i, (row_a, row_b) in enumerate(zip(a.tolist(), b.tolist())):
+        for j, (x, y) in enumerate(zip(row_a, row_b)):
+            if not x == y:
+                return False, None, (i, j)
+    return True, None, None
 
 
 def cross_multiply_eq(a, b):
@@ -178,7 +178,7 @@ def dense_inverse(m: Mat) -> Mat:
             f_r = aug[r][col]
             if r != col and not f_r.is_zero:
                 aug[r] = [x - f_r * y for x, y in zip(aug[r], aug[col])]
-    return Mat(f, n, n, [row[n:] for row in aug])
+    return Mat.from_rows(f, [row[n:] for row in aug])
 
 
 def perturbed(t: Tensor4) -> Tensor4:
@@ -191,10 +191,14 @@ def perturbed(t: Tensor4) -> Tensor4:
 
 def use_dense_references(monkeypatch):
     """Route the three exact fast paths through the dense references."""
-    from ybtk import rmatrix
     from ybtk.scalars import RatFun
 
-    monkeypatch.setattr(rmatrix, "slot_compare", dense_slot_compare)
+    sparse_compare = Mat.compare
+
+    def compare(a, b):
+        return (entrywise_compare if a.field.exact else sparse_compare)(a, b)
+
+    monkeypatch.setattr(Mat, "compare", compare)
     monkeypatch.setattr(RatFun, "__eq__", cross_multiply_eq)
     monkeypatch.setattr(Mat, "inverse", dense_inverse)
 

@@ -283,6 +283,45 @@ def test_verify_needs_mu(tmp_path, capsys):
     assert "mu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("zero", ["alpha", "beta"])
+def test_verify_zero_alpha_or_beta_exits_2(tmp_path, capsys, backend, zero):
+    field = TRIVIAL["field"] if backend == "exact" else {"backend": "float", "tolerance": 1e-9}
+    path = write_json(tmp_path / "zero.json", dict(TRIVIAL, field=field, **{zero: "0"}))
+    assert main(["verify", path]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "input error: alpha and beta must be nonzero"
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("numeric", [False, True])
+def test_bad_tolerance_option_exits_2(tmp_path, trivial_file, capsys, value, numeric):
+    if numeric:
+        args = ["check", trivial_file, "--numeric"]
+    else:
+        field = {"backend": "float", "tolerance": 1e-9}
+        args = ["check", write_json(tmp_path / "f.json", dict(TRIVIAL, field=field))]
+    assert main(args + ["--tolerance", "1e-6"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--tolerance", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    # argparse's usage block, then one error line
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and "--tolerance" in errors[0] and "finite and positive" in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [-1, 0, "nan", "inf"])
+def test_bad_tolerance_in_file_exits_2(tmp_path, capsys, value):
+    field = {"backend": "float", "tolerance": value}
+    path = write_json(tmp_path / "f.json", dict(TRIVIAL, field=field))
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "tolerance must be finite and positive" in err
+
+
 def test_invariant_trivial_quadruple(trivial_file, capsys):
     assert main(["invariant", trivial_file, "--braid", "strands=3 s1 s2 s1'"]) == 0
     assert capsys.readouterr().out.strip() == "1"

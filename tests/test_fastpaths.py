@@ -1,9 +1,10 @@
 """The exact fast paths against the dense references in helpers.py.
 
-``slot_compare`` (the Yang-Baxter comparisons of ``check_qyb`` and of the
-braid relation), the shortcuts of ``RatFun.__eq__`` and the sparse
-Gauss-Jordan of ``Mat.inverse`` must give what the dense code gives: the
-same verdicts, witnesses, details and printed entries.
+The sparse ``Mat.compare`` (behind the Yang-Baxter comparisons of
+``check_qyb`` and of the braid relation), the shortcuts of
+``RatFun.__eq__`` and the sparse Gauss-Jordan of ``Mat.inverse`` must
+give what the dense code gives: the same verdicts, witnesses, details
+and printed entries.
 """
 
 import pytest
@@ -14,12 +15,12 @@ from ybtk.catalog import families, fixture
 from ybtk.errors import SingularMatrixError
 from ybtk.rmatrix import check_qyb, enhance, verify_pair, verify_quadruple
 from ybtk.scalars import Field, RatFun, _Poly, exact_tag
-from ybtk.tensors import Mat, slot_compare, yb_sides
+from ybtk.tensors import Mat, yb_sides
 
 from helpers import (
     cross_multiply_eq,
     dense_inverse,
-    dense_slot_compare,
+    entrywise_compare,
     perturbed,
     sl_n_r,
     use_dense_references,
@@ -98,7 +99,7 @@ def sparse_steps(draw, n, m):
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_slot_compare_agrees_with_dense_compare(data):
+def test_compare_agrees_with_entrywise_compare(data):
     n = data.draw(st.sampled_from([2, 3]))
     m = 3 if n == 2 else 2
     left = data.draw(sparse_steps(n, m))
@@ -119,12 +120,9 @@ def test_slot_compare_agrees_with_dense_compare(data):
             cell = data.draw(st.integers(0, op.rows * op.cols - 1))
             rows[cell // op.cols][cell % op.cols] += Q.parse(data.draw(st.sampled_from(ENTRIES)))
             right[i] = (Mat.from_rows(Q, rows), first)
-    fast = slot_compare(Q, n, m, left, right)
-    dense = dense_slot_compare(Q, n, m, left, right)
-    assert (fast is None) == (dense is None)
-    if fast is not None:
-        assert fast[0] == dense[0]
-        assert [Q.format(x) for x in fast[1:]] == [Q.format(x) for x in dense[1:]]
+    eye = Mat.identity(Q, n ** m)
+    lhs, rhs = eye.apply_slots(n, left), eye.apply_slots(n, right)
+    assert lhs.compare(rhs) == entrywise_compare(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,67 @@ def test_yb_sides_flip_solution():
 
 
 # ---------------------------------------------------------------------------
+# exact sparse storage
+
+
+def assert_sparse(m: Mat):
+    """No zero entry and no empty row is stored."""
+    assert all(row and not any(x.is_zero for x in row.values()) for row in m._a.values())
+
+
+def test_exact_mat_stores_no_zero():
+    z, one, q = Q.zero, Q.one, Q.sym("q")
+    a = Mat.from_rows(Q, [[q, z, one], [z, z, z], [one, q, z]])
+    assert_sparse(a)
+    assert sorted(a._a) == [0, 2]
+    assert a.at(1, 1) is z and a.at(0, 1) is z
+    assert a.tolist()[1] == [z, z, z] and all(x is z for x in a.tolist()[1])
+    assert Mat.from_rows(Q, a.tolist())._a == a._a
+    for m in (a - a, a + (-a), a @ Mat.zeros(Q, 3, 3), a.scale(z), Mat.build(Q, 2, 2, lambda i, j: z)):
+        assert m._a == {}
+    # [[1, 1], [1, -1]] @ [[q, q], [q, -q]]: two entries cancel
+    prod = Mat.from_rows(Q, [[one, one], [one, -one]]) @ Mat.from_rows(Q, [[q, q], [q, -q]])
+    assert_sparse(prod)
+    assert {(i, j) for i, row in prod._a.items() for j in row} == {(0, 0), (1, 1)}
+    # the slot kernel drops a row whose entries cancel
+    ones = Mat.from_rows(Q, [[one, one], [one, one]])
+    assert Mat.from_rows(Q, [[one], [-one]]).apply_slots(2, [(ones, 0)])._a == {}
+    # Gauss-Jordan: clearing column 1 cancels entry (0, 2), so the inverse
+    # of this upper triangle has an empty corner
+    upper = Mat.from_rows(Q, [[one, one, one], [z, one, one], [z, z, one]])
+    aug = upper._gauss_jordan(True)
+    assert all(not any(x.is_zero for x in row.values()) for row in aug)
+    assert [sorted(j for j in row if j < 3) for row in aug] == [[0], [1], [2]]
+    inv = upper.inverse()
+    assert_sparse(inv)
+    assert 2 not in inv._a[0]
+    assert (upper @ inv).is_identity()
+    for m in (a.transpose(), a.kron(a), a.permute_axes(3, (1, 0)), a @ a, a + a):
+        assert_sparse(m)
+
+
+def test_exact_sums_add_in_ascending_order():
+    # RatFun keeps no gcd: (x0 + x1) + x2 and (x2 + x1) + x0 print differently
+    x0, x1, x2 = (Q.parse(t) for t in ("1/(q+1)", "1/(q+1)", "1/(q+2)"))
+    want = Q.format((x0 + x1) + x2)
+    assert want != Q.format((x2 + x1) + x0)
+    ones = Mat.from_rows(Q, [[Q.one] * 3])
+    column = Mat.from_rows(Q, [[x0], [x1], [x2]])
+    # the same column with its rows stored in descending order
+    stored_backwards = Mat(Q, 3, 1, {2: {0: x2}, 1: {0: x1}, 0: {0: x0}})
+    sums = [
+        (ones @ column).at(0, 0),
+        (ones @ stored_backwards).at(0, 0),
+        ones.trace_product(stored_backwards),
+        Mat.from_rows(Q, [[x0, Q.zero, Q.zero], [Q.zero, x1, Q.zero], [Q.zero, Q.zero, x2]]).trace(),
+        stored_backwards.apply_slots(3, [(ones, 0)]).at(0, 0),
+        # the first step makes rows 0, 1, 2 from the operator's column
+        Mat.identity(Q, 1).apply_slots(3, [(column, 0), (ones, 0)]).at(0, 0),
+    ]
+    assert [Q.format(x) for x in sums] == [want] * len(sums)
+
+
+# ---------------------------------------------------------------------------
 # float backend plumbing
 
 
