@@ -359,12 +359,9 @@ def _parse_binding(name: str, value, parse_field: Field):
         if value == "symbolic":
             return None
         try:
-            scalar = parse_field.parse(value)
+            return parse_field.parse(value)
         except Exception as exc:
             raise BadBindingError("bad value for %s: %s" % (name, exc)) from exc
-        return scalar
-    if isinstance(value, int):
-        return parse_field.from_int(value)
     try:
         return parse_field.from_fraction(value)
     except (TypeError, ValueError) as exc:
@@ -413,19 +410,12 @@ def fixture(fid: int, bindings=None, variant: str | None = None) -> Fixture:
             bound[name] = scalar
 
     remaining = tuple(p for p in params if p not in bound)
-    needs_i = any(
-        s.as_gauss() is None or s.as_gauss()[1] for s in bound.values()
-    )
+    # a binding parses with no indeterminates, so it is a Gaussian rational
+    needs_i = any(s.as_gauss()[1] for s in bound.values())
     field = Field(exact_tag(*remaining, imaginary=needs_i))
 
     symbolic_field = Field(exact_tag(*params, imaginary=needs_i)) if params else field
-    target_bindings = {}
-    for name, scalar in bound.items():
-        gauss = scalar.as_gauss()
-        value = field.from_fraction(gauss[0])
-        if gauss[1]:
-            value = value + field.imag_unit() * field.from_fraction(gauss[1])
-        target_bindings[name] = value
+    target_bindings = {name: field.from_gauss(*s.as_gauss()) for name, s in bound.items()}
 
     def build_mat(rows):
         symbolic = Mat.from_rows(

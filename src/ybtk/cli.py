@@ -205,18 +205,21 @@ def _square(field: Field, dim: int, values) -> Mat:
     return Mat.from_rows(field, [values[i * dim:(i + 1) * dim] for i in range(dim)])
 
 
+def _split_binding(text: str) -> tuple[str, str]:
+    """``name=value`` as the stripped name and the value text."""
+    if "=" not in text:
+        raise BadBindingError("bindings look like name=value, got %r" % text)
+    name, value = text.split("=", 1)
+    return name.strip(), value
+
+
 def _parse_bindings(pairs, field: Field):
+    parse_field = Field(FieldTag("exact", (), True))
     bindings = {}
     for text in pairs or []:
-        if "=" not in text:
-            raise BadBindingError("bindings look like name=value, got %r" % text)
-        name, value = text.split("=", 1)
-        name = name.strip()
+        name, value = _split_binding(text)
         if name not in field.tag.indeterminates:
             raise BadBindingError("unknown symbol %r in binding" % name)
-        parse_field = Field(
-            FieldTag("exact", (), True)
-        )
         bindings[name] = parse_field.parse(value)
     return bindings
 
@@ -233,7 +236,7 @@ class LoadedInput:
 def _load(args) -> LoadedInput:
     mf = read_matrix(args.file)
     tag = mf.tag
-    if tag.backend == "float" and getattr(args, "tolerance", None) is not None:
+    if tag.backend == "float" and args.tolerance is not None:
         tag = FieldTag("float", (), True, args.tolerance)
     field = Field(tag)
     # the values read_matrix parsed; a float value does not depend on the tolerance
@@ -243,43 +246,24 @@ def _load(args) -> LoadedInput:
     alpha = values[mf.alpha] if mf.alpha is not None else None
     beta = values[mf.beta] if mf.beta is not None else None
 
-    numeric = bool(getattr(args, "numeric", False))
-    if not field.exact:
-        if getattr(args, "at", None) or numeric:
+    if args.at or args.numeric:
+        if not field.exact:
             raise BadBindingError("--at/--numeric apply to exact-backend files")
-        at = {}
-    else:
-        at = _parse_bindings(getattr(args, "at", None), field)
-    if at or numeric:
+        at = _parse_bindings(args.at, field)
         remaining = tuple(s for s in tag.indeterminates if s not in at)
-        if numeric:
+        if args.numeric:
             if remaining:
                 raise BadBindingError(
                     "--numeric needs --at bindings for: %s" % ", ".join(remaining)
                 )
-            tolerance = getattr(args, "tolerance", None)
-            target = Field(float_tag(1e-9 if tolerance is None else tolerance))
+            target = Field(float_tag(1e-9 if args.tolerance is None else args.tolerance))
         else:
             target = Field(FieldTag("exact", remaining, True))
-        values = {}
-        for name, scalar in at.items():
-            gauss = scalar.as_gauss()
-            if gauss is None:
-                raise BadBindingError("binding for %s must be constant" % name)
-            v = target.from_fraction(gauss[0])
-            if gauss[1]:
-                v = v + target.imag_unit() * target.from_fraction(gauss[1])
-            values[name] = v
-
-        def rebase(m: Mat | None) -> Mat | None:
-            return m.evaluate(values, target) if m is not None else None
-
-        r_mat = rebase(r_mat)
-        mu = rebase(mu)
-        if alpha is not None:
-            alpha = substitute(alpha, values, target)
-        if beta is not None:
-            beta = substitute(beta, values, target)
+        # a binding parses with no indeterminates, so it is a Gaussian rational
+        point = {name: target.from_gauss(*scalar.as_gauss()) for name, scalar in at.items()}
+        r_mat = r_mat.evaluate(point, target)
+        mu = mu.evaluate(point, target) if mu is not None else None
+        alpha, beta = (substitute(x, point, target) if x is not None else None for x in (alpha, beta))
         field = target
     return LoadedInput(field, Tensor4(mf.n, r_mat), mu, alpha, beta)
 
@@ -407,10 +391,8 @@ def _cmd_catalog(args) -> int:
     fid = args.id
     bindings = {}
     for text in args.bind or []:
-        if "=" not in text:
-            raise BadBindingError("bindings look like name=value, got %r" % text)
-        name, value = text.split("=", 1)
-        bindings[name.strip()] = value.strip()
+        name, value = _split_binding(text)
+        bindings[name] = value.strip()
     fx = catalog_mod.fixture(fid, bindings=bindings or None, variant=args.variant)
     field = fx.field
     mf = MatrixFile(
@@ -451,8 +433,15 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error in one stderr line, without the usage block, and exits 2."""
+
+    def error(self, message):
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ybtk",
         description="Yang-Baxter solutions: check, enhance, verify, evaluate.",
     )

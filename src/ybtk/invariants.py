@@ -85,10 +85,10 @@ class BraidWord:
         tokens = text.split()
         if not tokens or not tokens[0].startswith("strands="):
             raise ScalarSyntaxError("braid word must start with strands=<m>")
-        try:
-            strands = int(tokens[0][len("strands="):])
-        except ValueError:
-            raise ScalarSyntaxError("bad strand count %r" % tokens[0]) from None
+        count = tokens[0][len("strands="):]
+        if not (count.isascii() and count.isdigit()):
+            raise ScalarSyntaxError("bad strand count %r" % tokens[0])
+        strands = int(count)
         letters = []
         for tok in tokens[1:]:
             body = tok
@@ -96,9 +96,10 @@ class BraidWord:
             if body.endswith("'"):
                 eps = -1
                 body = body[:-1]
-            if not body.startswith("s") or not body[1:].isdigit():
+            index = body[1:]
+            if not body.startswith("s") or not (index.isascii() and index.isdigit()):
                 raise ScalarSyntaxError("bad braid letter %r" % tok)
-            letters.append((int(body[1:]), eps))
+            letters.append((int(index), eps))
         try:
             return BraidWord(strands, tuple(letters))
         except ValueError as exc:
@@ -328,7 +329,7 @@ def _piece_matrix(piece: str, inp: InvariantInput, cache: dict) -> Mat:
     elif piece == "cap":
         m = Mat.build(f, 1, n * n, lambda _, j: f.one if j // n == j % n else f.zero)
     elif piece == "cup-":
-        mu_inv = cache.setdefault("_mu_inv", inp.mu.inverse())
+        mu_inv = inp.mu.inverse()
         m = Mat.build(f, n * n, 1, lambda i, _: mu_inv.at(i % n, i // n))
     elif piece == "cap-":
         m = Mat.build(f, 1, n * n, lambda _, j: inp.mu.at(j % n, j // n))

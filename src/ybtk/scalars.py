@@ -518,6 +518,13 @@ class Field:
             return RatFun.from_gauss(self.tag.indeterminates, 0, 1)
         return 1j
 
+    def from_gauss(self, re, im) -> Scalar:
+        """The Gaussian rational ``re + i*im``; ``i`` is needed only when ``im`` is nonzero."""
+        value = self.from_fraction(re)
+        if im:
+            value = value + self.imag_unit() * self.from_fraction(im)
+        return value
+
     def parse(self, text: str) -> Scalar:
         return parse_scalar(text, self)
 
@@ -528,17 +535,6 @@ class Field:
         if self.exact:
             return x.is_zero
         return abs(x) <= self.tag.tolerance
-
-    def eq(self, a: Scalar, b: Scalar) -> bool:
-        if self.exact:
-            return a == b
-        return abs(a - b) <= self.tag.tolerance * max(1.0, abs(a), abs(b))
-
-    def invert(self, x: Scalar) -> Scalar:
-        return scalar_invert(x)
-
-    def monomial_sqrt(self, x: Scalar):
-        return monomial_sqrt(x)
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +605,7 @@ def substitute(s: RatFun, bindings: Mapping[str, Scalar], target: Field) -> Scal
     def poly_value(p: _Poly) -> Scalar:
         acc = target.zero
         for mono, (re, im) in p.terms.items():
-            c = target.from_fraction(re)
-            if im:
-                c = c + target.imag_unit() * target.from_fraction(im)
+            c = target.from_gauss(re, im)
             for name, e in zip(s.syms, mono):
                 if e:
                     c = c * values[name] ** e
@@ -637,10 +631,11 @@ def _tokenize(text: str) -> list:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        # ASCII digits only: str.isdigit() also accepts '²', which int() refuses
+        if "0" <= c <= "9" or (c == "." and i + 1 < n and "0" <= text[i + 1] <= "9"):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and ("0" <= text[j] <= "9" or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     seen_dot = True
                 j += 1

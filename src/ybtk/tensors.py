@@ -419,15 +419,19 @@ class Mat:
     # -- conversion -------------------------------------------------------
 
     def evaluate(self, bindings, target: Field) -> "Mat":
-        """Substitute symbols entrywise and land in ``target``."""
+        """Substitute symbols into each stored entry and land in ``target``."""
         if not self.field.exact:
             raise ValueError("evaluate() starts from the exact backend")
-        return Mat.build(
-            target,
-            self.rows,
-            self.cols,
-            lambda i, j: substitute(self.at(i, j), bindings, target),
-        )
+        rows = [(i, [(j, substitute(x, bindings, target)) for j, x in row.items()])
+                for i, row in self._a.items()]
+        if target.exact:
+            # a value that vanishes at the point is not stored
+            return Mat(target, self.rows, self.cols, _sparse(rows))
+        a = np.zeros((self.rows, self.cols), dtype=complex)
+        for i, row in rows:
+            for j, x in row:
+                a[i, j] = x
+        return Mat(target, self.rows, self.cols, a)
 
     def format_rows(self) -> list[list[str]]:
         return [

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 from ybtk.errors import SingularMatrixError
-from ybtk.scalars import Field, _cmul, _format_poly, _Poly
+from ybtk.scalars import Field, _cmul, _format_poly, _Poly, substitute
 from ybtk.tensors import Mat, Tensor4
 
 
@@ -201,6 +201,13 @@ def use_dense_references(monkeypatch):
     monkeypatch.setattr(Mat, "compare", compare)
     monkeypatch.setattr(RatFun, "__eq__", cross_multiply_eq)
     monkeypatch.setattr(Mat, "inverse", dense_inverse)
+
+
+def entrywise_evaluate(m: Mat, bindings, target: Field) -> Mat:
+    """``Mat.evaluate`` as one ``substitute`` per entry, zeros included."""
+    if not m.field.exact:
+        raise ValueError("evaluate() starts from the exact backend")
+    return Mat.build(target, m.rows, m.cols, lambda i, j: substitute(m.at(i, j), bindings, target))
 
 
 # ---------------------------------------------------------------------------

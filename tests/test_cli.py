@@ -6,13 +6,14 @@ import time
 import pytest
 
 from ybtk.catalog import families, fixture
-from ybtk import scalars
+from ybtk import scalars, tensors
 from ybtk.cli import MatrixFile, main, read_matrix, write_matrix
 from ybtk.errors import MatrixFileError, ToolkitError
 from ybtk.rmatrix import enhance
 from ybtk.scalars import Field, FieldTag, exact_tag
+from ybtk.tensors import Mat
 
-from helpers import perturbed, sl_n_entries, sl_n_r, use_dense_references
+from helpers import entrywise_evaluate, perturbed, sl_n_entries, sl_n_r, use_dense_references
 
 TRIVIAL = {
     "n": 2,
@@ -307,10 +308,9 @@ def test_bad_tolerance_option_exits_2(tmp_path, trivial_file, capsys, value, num
         main(args + ["--tolerance", value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    # argparse's usage block, then one error line
-    errors = [line for line in err.splitlines() if "error" in line]
-    assert len(errors) == 1 and "--tolerance" in errors[0] and "finite and positive" in errors[0]
-    assert "Traceback" not in err
+    # one error line, without argparse's usage block
+    assert len(err.splitlines()) == 1
+    assert "error" in err and "--tolerance" in err and "finite and positive" in err
 
 
 @pytest.mark.parametrize("value", [-1, 0, "nan", "inf"])
@@ -367,7 +367,55 @@ def test_invariant_max_strands_below_one_exit2(trivial_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["invariant", trivial_file, "--braid", "strands=2", "--max-strands", "-3"])
     assert exc.value.code == 2
-    assert "--max-strands" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "--max-strands" in err
+
+
+def test_missing_braid_exits_2_with_one_line(trivial_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["invariant", trivial_file])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "ybtk invariant: error:" in err and "--braid" in err
+
+
+def _one_line_input_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("input error: ") and "Traceback" not in err
+    return err
+
+
+# '²' passes str.isdigit() but not int(); '٣' (Arabic-Indic three) passes both
+@pytest.mark.parametrize("entry", ["²", "1.²", "q^²", "٣"])
+def test_non_ascii_digit_in_matrix_file_exits_2(tmp_path, capsys, entry):
+    entries = list(TRIVIAL["entries"])
+    entries[0] = entry
+    field = {"backend": "exact", "indeterminates": ["q"], "imaginary": False}
+    path = write_json(tmp_path / "digit.json", dict(TRIVIAL, field=field, entries=entries))
+    assert main(["check", path]) == 2
+    assert "bad scalar" in _one_line_input_error(capsys)
+
+
+def test_non_ascii_digit_in_binding_exits_2(tmp_path, capsys):
+    path = family_file(tmp_path, 7)
+    capsys.readouterr()
+    assert main(["check", path, "--at", "q=²"]) == 2
+    _one_line_input_error(capsys)
+
+
+def test_non_ascii_digit_in_braid_exits_2(trivial_file, capsys):
+    assert main(["invariant", trivial_file, "--braid", "strands=2 s²"]) == 2
+    assert "bad braid letter" in _one_line_input_error(capsys)
+    assert main(["invariant", trivial_file, "--braid", "strands=٣"]) == 2
+    assert "bad strand count" in _one_line_input_error(capsys)
+
+
+@pytest.mark.parametrize("args", [["--at", "q=2"], ["--numeric"]])
+def test_binding_a_float_file_exits_2(tmp_path, capsys, args):
+    field = {"backend": "float", "tolerance": 1e-9}
+    path = write_json(tmp_path / "f.json", dict(TRIVIAL, field=field))
+    assert main(["check", path, *args]) == 2
+    assert "--at/--numeric apply to exact-backend files" in _one_line_input_error(capsys)
 
 
 def test_tangle_state_cap_exit3(tmp_path, trivial_file, capsys):
@@ -466,6 +514,56 @@ def test_decide_output_is_byte_stable_against_dense_references(tmp_path, capsys,
     assert any("braid relation at" in o.out for cmd, _, _, o in fast if cmd == "verify")
     assert any("QYB: FAIL" in o.out for cmd, _, _, o in fast if cmd == "check")
     use_dense_references(monkeypatch)
+    assert outputs() == fast
+
+
+def test_numeric_binding_substitutes_each_stored_entry_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    substitute = tensors.substitute
+    monkeypatch.setattr(tensors, "substitute", lambda *a: calls.append(1) or substitute(*a))
+    field = {"backend": "exact", "indeterminates": ["q"], "imaginary": False}
+    path = write_json(tmp_path / "sl5.json", {"n": 5, "field": field, "entries": sl_n_entries(5)})
+    assert main(["check", path, "--at", "q=2", "--numeric"]) == 0
+    # the 35 nonzeros of R, not its 625 entries
+    assert len(calls) == 35
+
+
+def test_binding_output_is_byte_stable_against_entrywise_evaluate(tmp_path, capsys, monkeypatch):
+    """check / enhance / verify / invariant / tangle at exact, partial,
+    complex and float points print what they printed when Mat.evaluate
+    substituted every entry."""
+    runs = _decide_files(tmp_path)
+    word = tmp_path / "closure.txt"
+    word.write_text("cup\nu,cup,d\nx+,d,d\nx-,d,d\nu,cap-,d\ncap-\n", encoding="utf-8")
+    enhanced = [p for cmd, p in runs if cmd == "verify" and "changed" not in p]
+    runs += [(cmd, p) for p in enhanced for cmd in ("invariant", "tangle")]
+    extra = {"invariant": ["--braid", "strands=2 s1 s1 s1'"], "tangle": ["--word", str(word)]}
+
+    def at_sets(path):
+        params = read_matrix(path).tag.indeterminates
+
+        def at(values):
+            return [a for p, x in zip(params, values) for a in ("--at", "%s=%s" % (p, x))]
+
+        exact, gauss = at(("3/2", "5/3", "-2")), at(("1/2 + 3/4*i", "-1 + i", "2"))
+        sets = [exact + ["--numeric"], gauss + ["--numeric"]]
+        if params:
+            sets += [exact, gauss, ["--at", "%s=-1/4" % params[0]]]
+        return sets
+
+    def outputs():
+        out = []
+        for cmd, path in runs:
+            for at in at_sets(path):
+                code = main([cmd, path, *extra.get(cmd, []), *at])
+                out.append((cmd, path, at, code, capsys.readouterr()))
+        return out
+
+    fast = outputs()
+    for cmd in ("check", "enhance", "verify", "invariant", "tangle"):
+        assert any(code == 0 and c == cmd for c, _, _, code, _ in fast), cmd
+    assert any(code == 0 and "--numeric" in at for _, _, at, code, _ in fast)
+    monkeypatch.setattr(Mat, "evaluate", entrywise_evaluate)
     assert outputs() == fast
 
 

@@ -432,3 +432,32 @@ def test_substitute_pole_raises():
     v = parse_scalar("1/(q - 1)", Q.tag)
     with pytest.raises(ZeroDivisionError):
         substitute(v, {"q": C.one}, C)
+
+
+def _gauss_by_hand(field, re, im):
+    """Reference for ``Field.from_gauss``: ``re`` plus ``i`` times ``im``, term by term."""
+    value = field.from_fraction(re)
+    if im:
+        value = value + field.imag_unit() * field.from_fraction(im)
+    return value
+
+
+@pytest.mark.parametrize(
+    "field", [QI, Field(exact_tag(imaginary=True)), Field(exact_tag("p", "q", imaginary=True)), C])
+def test_from_gauss_matches_the_conversion_by_hand(field):
+    parts = [0, 1, -3, Fraction(-3, 2), Fraction(7, 9), Fraction(10 ** 20 + 1, 3)]
+    for re in parts:
+        for im in parts:
+            got, want = field.from_gauss(re, im), _gauss_by_hand(field, re, im)
+            assert got == want
+            if field.exact:
+                assert format_scalar(got) == format_scalar(want)
+            else:
+                assert type(got) is complex and (got.real, got.imag) == (want.real, want.imag)
+
+
+def test_from_gauss_needs_i_only_for_an_imaginary_part():
+    assert Q.from_gauss(Fraction(3, 2), 0) == q("3/2")
+    assert Q.from_gauss(0, 0) is Q.zero
+    with pytest.raises(UnknownSymbolError):
+        Q.from_gauss(1, 1)

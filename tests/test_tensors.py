@@ -1,14 +1,17 @@
 """Index calculus: permutation, transposes, partial trace, lifts, inversion."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from ybtk import tensors
+from ybtk.catalog import families, fixture
 from ybtk.errors import SingularMatrixError
 from ybtk.scalars import Field, exact_tag, float_tag
 from ybtk.tensors import Mat, Tensor4, embed, permutation, yb_sides
 
-from helpers import rand_invertible, rand_mat, rand_tensor4
+from helpers import entrywise_evaluate, rand_invertible, rand_mat, rand_tensor4, sl_n_r
 
 QQ = Field(exact_tag())
 Q = Field(exact_tag("q"))
@@ -400,3 +403,71 @@ def test_evaluate_into_float():
     m = r.mat.evaluate(point, C)
     assert m.at(3, 3) == 0.5
     assert m.at(1, 1) == 2
+
+
+def _evaluate_cases():
+    """Every catalog matrix and exact sl_3, each at an exact, a partial, a
+    complex and a float point, as (matrix, bindings, target)."""
+    mats = []
+    for fam in families():
+        for variant in fam.variants or (None,):
+            fx = fixture(fam.id, variant=variant)
+            extra = (fx.expected_tilde.mat if fx.expected_tilde else None, fx.expected_u, fx.expected_v)
+            mats += [(fx.parameters, m) for m in (fx.r.mat,) + extra if m is not None]
+    mats.append((("q",), sl_n_r(Q, 3).mat))
+    exact, gauss = Field(exact_tag()), Field(exact_tag(imaginary=True))
+    rationals = (Fraction(3, 2), Fraction(5, 3), -2)
+    gaussians = ((Fraction(1, 2), Fraction(3, 4)), (-1, 1), (2, 0))
+    floats = (1.3 + 0.2j, -0.7, 2.5j)
+    cases = []
+    for params, m in mats:
+        cases.append((m, dict(zip(params, map(exact.from_fraction, rationals))), exact))
+        cases.append((m, {p: gauss.from_gauss(*x) for p, x in zip(params, gaussians)}, gauss))
+        cases.append((m, dict(zip(params, floats)), C))
+        if params:
+            rest = Field(exact_tag(*params[1:]))
+            cases.append((m, {params[0]: rest.from_fraction(Fraction(-1, 4))}, rest))
+    return cases
+
+
+def test_evaluate_matches_entrywise_reference():
+    cases = _evaluate_cases()
+    assert {target.exact for _, _, target in cases} == {True, False}
+    for m, bindings, target in cases:
+        got = m.evaluate(bindings, target)
+        want = entrywise_evaluate(m, bindings, target)
+        assert got.field is target and (got.rows, got.cols) == (want.rows, want.cols)
+        assert got.tolist() == want.tolist()
+        assert got.format_rows() == want.format_rows()
+
+
+@pytest.mark.parametrize("q", [1, -1])
+def test_evaluate_stores_no_entry_that_vanishes_at_the_point(q):
+    # q - q^-1 vanishes at q = +-1: 3 of the 12 nonzeros of sl_3's R
+    m = sl_n_r(Q, 3).mat
+    target = Field(exact_tag())
+    point = {"q": target.from_int(q)}
+    got = m.evaluate(point, target)
+    assert sum(map(len, got._a.values())) == 9
+    assert all(not x.is_zero for row in got._a.values() for x in row.values())
+    assert got.tolist() == entrywise_evaluate(m, point, target).tolist()
+    # with p left symbolic, family 7's q - q^-1 entry vanishes the same way
+    m = fixture(7).r.mat
+    target = Field(exact_tag("p"))
+    point = {"q": target.from_int(q)}
+    got = m.evaluate(point, target)
+    assert sum(map(len, got._a.values())) == 4
+    assert all(not x.is_zero for row in got._a.values() for x in row.values())
+    assert got.format_rows() == entrywise_evaluate(m, point, target).format_rows()
+
+
+@pytest.mark.parametrize("target", [Field(exact_tag()), C])
+def test_evaluate_substitutes_each_stored_entry_once(monkeypatch, target):
+    calls = []
+    substitute = tensors.substitute
+    monkeypatch.setattr(tensors, "substitute", lambda *a: calls.append(1) or substitute(*a))
+    sl5 = sl_n_r(Q, 5).mat
+    sl5.evaluate({"q": target.from_int(2)}, target)
+    # 5 q's on the diagonal, 20 ones and 10 (q - q^-1) among 625 entries
+    assert len(calls) == 35
+
