@@ -27,13 +27,18 @@ Subcommands and exit codes:
 
 Exit 0: success / all axioms pass.  Exit 1: mathematical negative (an
 axiom fails, not biinvertible, not enhanceable).  Exit 2: input error.
-Exit 3: resource cap exceeded.
+Exit 3: resource cap exceeded.  Exit 141: the reader closed stdout
+(``ybtk enhance f.json | head -1``).
+
+``main`` builds its parser on the first call and reuses it on every
+later one, so an in-process caller pays for argparse once.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field as dc_field
 
@@ -506,11 +511,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     if args.command == "catalog" and args.action == "get" and args.id is None:
         print("catalog get needs a family id", file=sys.stderr)
         return 2
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: what is left, the exit flush included,
+        # goes to the null device, and the exit code is a shell's for SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except StrandLimitError as exc:

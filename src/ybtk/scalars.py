@@ -550,13 +550,25 @@ def scalar_invert(s: Scalar) -> Scalar:
     return 1 / s
 
 
+def _rational_sqrt(c: Fraction):
+    """The nonnegative square root of a rational c >= 0, or None if it is irrational."""
+    rn = math.isqrt(c.numerator)
+    rd = math.isqrt(c.denominator)
+    if rn * rn != c.numerator or rd * rd != c.denominator:
+        return None
+    return Fraction(rn, rd)
+
+
 def monomial_sqrt(s: Scalar):
     """Square root of a monomial scalar, or None.
 
     Exact backend: succeeds only on ``c * prod(sym^k)`` with all
-    exponents even and ``c`` a square of a positive rational; the
-    returned root has a positive rational coefficient.  Float backend:
-    the principal complex square root (None only for zero).
+    exponents even and ``c`` either the square of a positive rational,
+    whose positive root is returned, or a non-real Gaussian rational
+    whose principal root ``a + b*i`` (a > 0) is Gaussian-rational.  A
+    negative rational is refused: its root (2*i for -4) would not parse
+    back in a field without ``i``.  Float backend: the principal complex
+    square root (None only for zero).
     """
     if not isinstance(s, RatFun):
         if s == 0:
@@ -572,19 +584,25 @@ def monomial_sqrt(s: Scalar):
         s = RatFun(s.syms, collapsed[0], collapsed[1], reduce=False)
     (mn, cn), = s.num.terms.items()
     (md, cd), = s.den.terms.items()
-    # num and den may share a Gaussian unit, as in (i q^2)/(i)
-    c, im = _cdiv(cn, cd)
-    if im or c <= 0:
-        return None
     if any(e % 2 for e in mn) or any(e % 2 for e in md):
         return None
-    rn = math.isqrt(c.numerator)
-    rd = math.isqrt(c.denominator)
-    if rn * rn != c.numerator or rd * rd != c.denominator:
+    # num and den may share a Gaussian unit, as in (i q^2)/(i)
+    x, y = _cdiv(cn, cd)
+    if not y and x < 0:
         return None
+    # the principal root a + b*i: a = sqrt((r + x)/2), b = sign(y) sqrt((r - x)/2), r = |x + y*i|
+    r = _rational_sqrt(x * x + y * y)
+    if r is None:
+        return None
+    a, b = _rational_sqrt((r + x) / 2), _rational_sqrt((r - x) / 2)
+    if a is None or b is None:
+        return None
+    if y < 0:
+        b = -b
+    d = math.lcm(a.denominator, b.denominator)
     nv = len(s.syms)
-    num = _Poly(nv, {tuple(e // 2 for e in mn): (rn, 0)})
-    den = _Poly(nv, {tuple(e // 2 for e in md): (rd, 0)})
+    num = _Poly(nv, {tuple(e // 2 for e in mn): (int(a * d), int(b * d))})
+    den = _Poly(nv, {tuple(e // 2 for e in md): (d, 0)})
     return RatFun(s.syms, num, den)
 
 

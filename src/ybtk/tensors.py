@@ -854,9 +854,6 @@ class Tensor4:
     def eq(self, other: "Tensor4") -> bool:
         return self.mat.eq(other.mat)
 
-    def evaluate(self, bindings, target: Field) -> "Tensor4":
-        return Tensor4(self.n, self.mat.evaluate(bindings, target))
-
     def __repr__(self):
         return "Tensor4(n=%d over %s)" % (self.n, self.field.tag.backend)
 

@@ -203,6 +203,17 @@ def use_dense_references(monkeypatch):
     monkeypatch.setattr(Mat, "inverse", dense_inverse)
 
 
+def use_fresh_parsers(monkeypatch):
+    """Make every ``cli.main`` call parse with a parser built for that call."""
+    from ybtk import cli
+
+    class FreshParser:
+        def parse_args(self, argv=None):
+            return cli.build_parser().parse_args(argv)
+
+    monkeypatch.setattr(cli, "_parser", FreshParser())
+
+
 def entrywise_evaluate(m: Mat, bindings, target: Field) -> Mat:
     """``Mat.evaluate`` as one ``substitute`` per entry, zeros included."""
     if not m.field.exact:

@@ -1,19 +1,31 @@
 """Command-line surface: matrix files, subcommands, exit codes."""
 
 import json
+import math
+import os
+import re
+import subprocess
+import sys
 import time
 
 import pytest
 
 from ybtk.catalog import families, fixture
-from ybtk import scalars, tensors
+from ybtk import cli, scalars, tensors
 from ybtk.cli import MatrixFile, main, read_matrix, write_matrix
 from ybtk.errors import MatrixFileError, ToolkitError
 from ybtk.rmatrix import enhance
 from ybtk.scalars import Field, FieldTag, exact_tag
 from ybtk.tensors import Mat
 
-from helpers import entrywise_evaluate, perturbed, sl_n_entries, sl_n_r, use_dense_references
+from helpers import (
+    entrywise_evaluate,
+    perturbed,
+    sl_n_entries,
+    sl_n_r,
+    use_dense_references,
+    use_fresh_parsers,
+)
 
 TRIVIAL = {
     "n": 2,
@@ -230,6 +242,55 @@ def test_check_numeric(tmp_path, capsys):
     assert main(["check", path, "--numeric", "--at", "q=2"]) == 2
     err = capsys.readouterr().err
     assert "--numeric needs --at" in err
+
+
+def _printed_blocks(out):
+    """The header line and cell texts of each matrix block of ``ybtk`` output."""
+    blocks = []
+    for line in out.splitlines():
+        if line.startswith("  [ "):
+            blocks[-1][1].extend(re.split(r"\s{2,}", line.strip()[2:-2].strip()))
+        else:
+            blocks.append((line, []))
+    return blocks
+
+
+def _gaussian_point_file(tmp_path, name):
+    if name == "family7":
+        return family_file(tmp_path, 7), ["--at", "p=1/2 + 3/4*i", "--at", "q=2 + i"]
+    field = {"backend": "exact", "indeterminates": ["q"], "imaginary": False}
+    path = write_json(tmp_path / "sl3.json", {"n": 3, "field": field, "entries": sl_n_entries(3)})
+    return path, ["--at", "q=1/2 + 3/4*i"]
+
+
+@pytest.mark.parametrize("name", ["sl3", "family7"])
+def test_exact_gaussian_point_prints_a_gaussian_alpha(tmp_path, capsys, name):
+    """alpha^2 = q^-2n at a Gaussian q has the Gaussian root q^-n, up to sign."""
+    path, at = _gaussian_point_file(tmp_path, name)
+    gauss = Field(exact_tag(imaginary=True))
+    assert main(["check", path, *at]) == 0
+    out = capsys.readouterr().out
+    alpha_sq = re.search(r"with alpha\^2 = (.*)", out).group(1)
+    alpha = re.search(r"^alpha = (.*)", out, re.M).group(1)
+    assert "i" in alpha
+    assert gauss.parse(alpha) * gauss.parse(alpha) == gauss.parse(alpha_sq)
+    assert main(["enhance", path, *at]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("alpha = %s\n" % alpha)
+    # every printed pair and quadruple passes `ybtk verify` as a file
+    blocks = _printed_blocks(out)[1:]
+    verified = 0
+    for (head, s), (_, mu) in zip(blocks[::2], blocks[1::2]):
+        n = math.isqrt(math.isqrt(len(s)))
+        body = {"n": n, "field": {"backend": "exact", "indeterminates": [], "imaginary": True},
+                "entries": s, "mu": mu}
+        quad = re.match(r"quadruple \(\w+\): alpha = (.*), beta = (.*), S =$", head)
+        if quad:
+            body.update(alpha=quad.group(1), beta=quad.group(2))
+        assert main(["verify", write_json(tmp_path / ("v%d.json" % verified), body)]) == 0, head
+        verified += 1
+    assert verified == 4
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_enhance_family7(tmp_path, capsys):
@@ -595,3 +656,111 @@ def test_catalog_list(capsys):
     out = capsys.readouterr().out
     assert "enhanced with alpha = q^-2" in out
     assert "p^2 = q^2" in out
+
+
+# ---------------------------------------------------------------------------
+# the parser main shares across calls
+
+
+def test_main_builds_the_parser_once(tmp_path, trivial_file, capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    for _ in range(3):
+        assert main(["check", trivial_file]) == 0
+        assert main(["verify", trivial_file]) == 0
+        assert main(["catalog", "list"]) == 0
+        with pytest.raises(SystemExit):
+            main(["check", trivial_file, "--tolerance", "0"])
+    assert len(calls) == 1
+    assert build() is not build()
+
+
+def test_options_do_not_leak_into_the_next_call(tmp_path, trivial_file, capsys, monkeypatch):
+    """A call that leaves an option out prints what a fresh parser prints,
+    whatever option the call before it gave."""
+    field = {"backend": "exact", "indeterminates": ["q"], "imaginary": False}
+    off = sl_n_entries(3)
+    off[0] = "q + 1/10000000"  # QYB holds to 1e-4 at q = 2, not to 1e-9
+    sl3_off = write_json(tmp_path / "sl3_off.json", {"n": 3, "field": field, "entries": off})
+    strands = ["--braid", "strands=4 s1 s2 s3"]
+    pairs = [
+        (["check", sl3_off, "--at", "q=2"], ["check", sl3_off]),
+        (["check", sl3_off, "--numeric", "--at", "q=2"], ["check", sl3_off]),
+        (["check", sl3_off, "--numeric", "--at", "q=2", "--tolerance", "1e-4"],
+         ["check", sl3_off, "--numeric", "--at", "q=2"]),
+        (["invariant", trivial_file, *strands, "--max-strands", "3"], ["invariant", trivial_file, *strands]),
+        (["catalog", "get", "1", "--bind", "q=1"], ["catalog", "get", "1"]),
+        (["catalog", "get", "6", "--variant", "b"], ["catalog", "get", "6"]),
+    ]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    shared = [(run(first), run(second)) for first, second in pairs]
+    use_fresh_parsers(monkeypatch)
+    fresh = [(run(first), run(second)) for first, second in pairs]
+    assert shared == fresh
+    # the first call of each pair changes what the second one would print
+    assert all(a != b for a, b in fresh)
+
+
+def test_argparse_errors_and_successes_alternate_cleanly(trivial_file, capsys):
+    for _ in range(2):
+        assert main(["check", trivial_file]) == 0
+        assert capsys.readouterr().err == ""
+        with pytest.raises(SystemExit) as exc:
+            main(["check", trivial_file, "--tolerance", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "ybtk check: error:" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["invariant", trivial_file])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--braid" in err
+
+
+def test_shared_parser_output_is_byte_stable_against_fresh_parsers(tmp_path, capsys, monkeypatch):
+    """check / enhance / verify / invariant / tangle on every catalog
+    fixture and exact sl_3 print what they print with a parser built
+    for each call."""
+    runs = [[cmd, p] for cmd, p in _decide_files(tmp_path)]
+    word = tmp_path / "closure.txt"
+    word.write_text("cup\nu,cup,d\nx+,d,d\nx-,d,d\nu,cap-,d\ncap-\n", encoding="utf-8")
+    enhanced = [p for cmd, p in runs if cmd == "verify" and "changed" not in p]
+    runs += [["invariant", p, "--braid", "strands=3 s1 s2' s1"] for p in enhanced]
+    runs += [["tangle", p, "--word", str(word)] for p in enhanced]
+
+    def outputs():
+        out = []
+        for argv in runs:
+            code = main(argv)
+            out.append((argv, code, capsys.readouterr()))
+        return out
+
+    shared = outputs()
+    for cmd in ("check", "enhance", "verify", "invariant", "tangle"):
+        assert any(code == 0 and argv[0] == cmd for argv, code, _ in shared), cmd
+    use_fresh_parsers(monkeypatch)
+    assert outputs() == shared
+
+
+def test_closed_stdout_pipe_exits_141_without_a_traceback(tmp_path, trivial_file):
+    word = tmp_path / "wide.txt"
+    # the 256 x 256 identity: far more output than a pipe holds
+    word.write_text("u,u,u,u,u,u,u,u\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ybtk", "tangle", trivial_file, "--word", str(word)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"  [ 1  0")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

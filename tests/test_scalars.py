@@ -208,6 +208,18 @@ def test_monomial_sqrt_gaussian_non_squares_stay_none():
     assert monomial_sqrt(QI.parse("2*i*q^2") * QI.parse("i").invert()) is None
 
 
+def test_monomial_sqrt_gaussian_principal_root():
+    # the root a + b*i with a > 0, as the float backend's cmath.sqrt
+    for text in ("2 + i", "2 - i", "-2 + i", "1/2 + 3/4*i", "3/5*q - 4/5*i*q"):
+        for x in (QI.parse(text), QI.parse(text) * QI.parse("q^-3")):
+            root = monomial_sqrt(x * x)
+            assert root == (x if not text.startswith("-") else -x), text
+    # |x| = 5 is rational, but sqrt((5 + 4)/2) is not; |1 + i| is irrational
+    assert monomial_sqrt(QI.parse("4 + 3*i")) is None
+    assert monomial_sqrt(QI.parse("(1 + i)*q^2")) is None
+    assert monomial_sqrt(QI.parse("-1/4")) is None
+
+
 def test_monomial_sqrt_float():
     z = monomial_sqrt(complex(-4))
     assert abs(z - 2j) < 1e-12
