@@ -255,6 +255,15 @@ PIECES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 
 
+# per piece: the domain and codomain signs as strings, so that a layer's
+# type is one join; and (domain width, slot change) of each piece that acts
+_DOMAIN = {piece: "".join(dom) for piece, (dom, _) in PIECES.items()}
+_CODOMAIN = {piece: "".join(cod) for piece, (_, cod) in PIECES.items()}
+_ACTING = {piece: (len(dom), len(cod) - len(dom))
+           for piece, (dom, cod) in PIECES.items() if piece not in ("u", "d")}
+_CROSSING = {1: "x+", -1: "x-"}
+
+
 @dataclass(frozen=True)
 class TangleWord:
     """Layers of elementary pieces, bottom layer first."""
@@ -262,15 +271,12 @@ class TangleWord:
     layers: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "layers", tuple(tuple(layer) for layer in self.layers)
-        )
+        object.__setattr__(self, "layers", tuple(map(tuple, self.layers)))
         if not self.layers:
             raise ScalarSyntaxError("a tangle word needs at least one layer")
-        for layer in self.layers:
-            for piece in layer:
-                if piece not in PIECES:
-                    raise ScalarSyntaxError("unknown tangle piece %r" % piece)
+        if not set().union(*self.layers) <= PIECES.keys():
+            piece = next(p for layer in self.layers for p in layer if p not in PIECES)
+            raise ScalarSyntaxError("unknown tangle piece %r" % piece)
 
     @staticmethod
     def parse(text: str) -> "TangleWord":
@@ -289,20 +295,7 @@ class TangleWord:
 
     def layer_types(self) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
         """(domain, codomain) sign sequences per layer; checks composability."""
-        out = []
-        previous_cod = None
-        for k, layer in enumerate(self.layers):
-            dom: tuple[str, ...] = ()
-            cod: tuple[str, ...] = ()
-            for piece in layer:
-                p_dom, p_cod = PIECES[piece]
-                dom += p_dom
-                cod += p_cod
-            if previous_cod is not None and dom != previous_cod:
-                raise TangleTypeError(k, dom, previous_cod)
-            out.append((dom, cod))
-            previous_cod = cod
-        return out
+        return [(tuple(dom), tuple(cod)) for _, dom, cod in _typed_layers(self.layers)]
 
     @property
     def domain(self) -> tuple[str, ...]:
@@ -313,30 +306,38 @@ class TangleWord:
         return self.layer_types()[-1][1]
 
 
-def _piece_matrix(piece: str, inp: InvariantInput, cache: dict) -> Mat:
-    if piece in cache:
-        return cache[piece]
+def _typed_layers(layers):
+    """``(layer, domain, codomain)`` per layer, signs as strings.
+
+    Raises TangleTypeError at the first layer whose domain is not the
+    codomain of the layer below it.
+    """
+    found = None
+    for k, layer in enumerate(layers):
+        dom = "".join(map(_DOMAIN.__getitem__, layer))
+        if found is not None and dom != found:
+            raise TangleTypeError(k, tuple(dom), tuple(found))
+        found = "".join(map(_CODOMAIN.__getitem__, layer))
+        yield layer, dom, found
+
+
+def _piece_matrix(piece: str, inp: InvariantInput) -> Mat:
     f = inp.field
     n = inp.n
-    if piece in ("u", "d"):
-        m = Mat.identity(f, n)
-    elif piece == "x+":
-        m = inp.s.mat
-    elif piece == "x-":
-        m = inp.s.inverse().mat
-    elif piece == "cup":
-        m = Mat.build(f, n * n, 1, lambda i, _: f.one if i // n == i % n else f.zero)
-    elif piece == "cap":
-        m = Mat.build(f, 1, n * n, lambda _, j: f.one if j // n == j % n else f.zero)
-    elif piece == "cup-":
+    if piece == "x+":
+        return inp.s.mat
+    if piece == "x-":
+        return inp.s.inverse().mat
+    if piece == "cup":
+        return Mat.build(f, n * n, 1, lambda i, _: f.one if i // n == i % n else f.zero)
+    if piece == "cap":
+        return Mat.build(f, 1, n * n, lambda _, j: f.one if j // n == j % n else f.zero)
+    if piece == "cup-":
         mu_inv = inp.mu.inverse()
-        m = Mat.build(f, n * n, 1, lambda i, _: mu_inv.at(i % n, i // n))
-    elif piece == "cap-":
-        m = Mat.build(f, 1, n * n, lambda _, j: inp.mu.at(j % n, j // n))
-    else:  # pragma: no cover - guarded by TangleWord validation
-        raise ValueError(piece)
-    cache[piece] = m
-    return m
+        return Mat.build(f, n * n, 1, lambda i, _: mu_inv.at(i % n, i // n))
+    if piece == "cap-":
+        return Mat.build(f, 1, n * n, lambda _, j: inp.mu.at(j % n, j // n))
+    raise ValueError(piece)  # pragma: no cover - guarded by TangleWord validation
 
 
 def tangle_eval(word: TangleWord, inp: InvariantInput) -> Mat:
@@ -344,29 +345,37 @@ def tangle_eval(word: TangleWord, inp: InvariantInput) -> Mat:
 
     The result maps the n^len(domain)-dimensional space to the
     n^len(codomain)-dimensional one; a closed word gives a 1 x 1 matrix.
-    Raises StrandLimitError, before allocating any state, when a state
-    would hold more than MAX_TANGLE_ENTRIES entries.
+    One pass over the layers checks their types and places each acting
+    piece; ``u`` and ``d`` make no step.  Raises StrandLimitError, before
+    allocating any state, when a state would hold more than
+    MAX_TANGLE_ENTRIES entries.
     """
-    width = len(word.layer_types()[0][0])  # raises TangleTypeError on bad words
-    n = inp.n
-    cache: dict = {}
-    slots = peak = width
-    steps = []
-    for layer in word.layers:
+    width = None
+    acting = []  # (piece, first slot) in step order
+    for layer, dom, _ in _typed_layers(word.layers):
+        if width is None:
+            width = peak = len(dom)
         # right to left, so each piece's domain offset is still its slot
-        offset = sum(len(PIECES[piece][0]) for piece in layer)
+        offset = slots = len(dom)
         for piece in reversed(layer):
-            dom, cod = PIECES[piece]
-            offset -= len(dom)
-            slots += len(cod) - len(dom)
-            peak = max(peak, slots)
-            if piece not in ("u", "d"):
-                steps.append((_piece_matrix(piece, inp, cache), offset))
+            shape = _ACTING.get(piece)
+            if shape is None:  # u or d
+                offset -= 1
+                continue
+            arity, growth = shape
+            offset -= arity
+            slots += growth
+            if slots > peak:
+                peak = slots
+            acting.append((piece, offset))
+    matrices = {piece: _piece_matrix(piece, inp) for piece in dict.fromkeys(p for p, _ in acting)}
+    n = inp.n
     if n ** (peak + width) > MAX_TANGLE_ENTRIES:
         raise StrandLimitError(
             "tangle state of n^%d entries exceeds the cap of %d entries"
             % (peak + width, MAX_TANGLE_ENTRIES)
         )
+    steps = [(matrices[piece], first) for piece, first in acting]
     return Mat.identity(inp.field, n ** width).apply_slots(n, steps)
 
 
@@ -378,16 +387,8 @@ def closure_word(word: BraidWord) -> TangleWord:
     enhanced pair gives Tr(rho(word) o mu^(x m)).
     """
     m = word.strands
-    layers = []
-    for j in range(1, m + 1):
-        layers.append(("u",) * (j - 1) + ("cup",) + ("d",) * (j - 1))
-    for i, eps in word.letters:
-        layers.append(
-            ("u",) * (i - 1)
-            + ("x+" if eps > 0 else "x-",)
-            + ("u",) * (m - i - 1)
-            + ("d",) * m
-        )
-    for j in range(m, 0, -1):
-        layers.append(("u",) * (j - 1) + ("cap-",) + ("d",) * (j - 1))
-    return TangleWord(tuple(layers))
+    ups, downs = ("u",) * m, ("d",) * m
+    cups = [ups[:j] + ("cup",) + downs[:j] for j in range(m)]
+    letters = [ups[:i - 1] + (_CROSSING[eps],) + ups[:m - i - 1] + downs for i, eps in word.letters]
+    caps = [ups[:j] + ("cap-",) + downs[:j] for j in reversed(range(m))]
+    return TangleWord(tuple(cups + letters + caps))

@@ -215,7 +215,7 @@ def enhancement_test(r: Tensor4) -> EnhancementOutcome:
     vu = v @ u
     uv = u @ v
     alpha_sq = _scalar_multiple_of_identity(vu)
-    alpha = monomial_sqrt(alpha_sq) if alpha_sq is not None else None
+    alpha = monomial_sqrt(alpha_sq, r.field.tag.imaginary) if alpha_sq is not None else None
     return EnhancementOutcome(
         biinvertible=True,
         u=u,

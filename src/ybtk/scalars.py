@@ -559,16 +559,17 @@ def _rational_sqrt(c: Fraction):
     return Fraction(rn, rd)
 
 
-def monomial_sqrt(s: Scalar):
+def monomial_sqrt(s: Scalar, imaginary: bool = False):
     """Square root of a monomial scalar, or None.
 
     Exact backend: succeeds only on ``c * prod(sym^k)`` with all
     exponents even and ``c`` either the square of a positive rational,
     whose positive root is returned, or a non-real Gaussian rational
     whose principal root ``a + b*i`` (a > 0) is Gaussian-rational.  A
-    negative rational is refused: its root (2*i for -4) would not parse
-    back in a field without ``i``.  Float backend: the principal complex
-    square root (None only for zero).
+    negative rational has the principal root ``sqrt(-c)*i`` (2*i for -4)
+    when ``imaginary`` says that the field has ``i``; without it that
+    root would not parse back, and None is returned.  Float backend: the
+    principal complex square root (None only for zero).
     """
     if not isinstance(s, RatFun):
         if s == 0:
@@ -588,7 +589,7 @@ def monomial_sqrt(s: Scalar):
         return None
     # num and den may share a Gaussian unit, as in (i q^2)/(i)
     x, y = _cdiv(cn, cd)
-    if not y and x < 0:
+    if not y and x < 0 and not imaginary:
         return None
     # the principal root a + b*i: a = sqrt((r + x)/2), b = sign(y) sqrt((r - x)/2), r = |x + y*i|
     r = _rational_sqrt(x * x + y * y)

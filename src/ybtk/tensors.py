@@ -103,16 +103,18 @@ class Mat:
     ``tolist`` give ``field.zero`` off the support.  Sums walk rows and
     columns in ascending order.  Float backend: a complex128 ndarray.
     Instances are treated as immutable; all operations return new
-    matrices.
+    matrices.  So a matrix keeps the inverse it computed, and a second
+    ``inverse`` call returns it.
     """
 
-    __slots__ = ("field", "rows", "cols", "_a")
+    __slots__ = ("field", "rows", "cols", "_a", "_inv")
 
     def __init__(self, field: Field, rows: int, cols: int, data):
         self.field = field
         self.rows = rows
         self.cols = cols
         self._a = data
+        self._inv = None
 
     # -- constructors --------------------------------------------------
 
@@ -272,6 +274,10 @@ class Mat:
         """
         plan, rows, peak = _plan(n, self.rows, steps)
         if not self.field.exact:
+            if self.cols <= _block_width(peak):
+                # one block: the np.matmul chain's own result is the state
+                a = _matmul_steps(plan, self._a) if plan else self._a.copy()
+                return Mat(self.field, rows, self.cols, a)
             out = np.empty((rows, self.cols), dtype=complex)
 
             def fill(c0, c1, chain):
@@ -355,8 +361,15 @@ class Mat:
         Exact backend: the first nonzero entry of each column is the
         pivot (abstract fields have no magnitudes), and a row update
         touches only the nonzero columns of the pivot row.  Float backend:
-        LAPACK with magnitude pivoting, then a residual check.
+        LAPACK with magnitude pivoting, then a residual check.  The
+        inverse is formed on the first call and kept; a singular matrix
+        raises on every call.
         """
+        if self._inv is None:
+            self._inv = self._invert()
+        return self._inv
+
+    def _invert(self) -> "Mat":
         if not self.square:
             raise SingularMatrixError("only square matrices are invertible")
         n = self.rows
@@ -375,7 +388,7 @@ class Mat:
 
     def check_invertible(self) -> None:
         """Raise SingularMatrixError exactly when ``inverse`` would, without forming it."""
-        if not self.field.exact:
+        if not self.field.exact or self._inv is not None:
             self.inverse()
             return
         if not self.square:
@@ -512,8 +525,8 @@ def _matmul_steps(plan, block):
     """Run a float plan on a ``(rows, w)`` column block through ``np.matmul``."""
     w = block.shape[1]
     for op, left, _ in plan:
-        block = np.matmul(op._a, block.reshape(left, op.cols, -1)).reshape(-1, w)
-    return block
+        block = np.matmul(op._a, block.reshape(left, op.cols, -1))
+    return block.reshape(-1, w)
 
 
 def _term_steps(plan, peak: int):
@@ -576,6 +589,11 @@ def _map_blocks(fn, tasks) -> list:
     return [fn(t) for t in tasks]
 
 
+def _block_width(peak: int) -> int:
+    """Columns per float block, for a plan whose largest state has ``peak`` rows."""
+    return max(1, _BLOCK_ENTRIES // peak)
+
+
 def _column_blocks(plan, peak: int, cols: int, run) -> list:
     """``run(c0, c1, chain)`` on each column block, results in block order.
 
@@ -583,7 +601,7 @@ def _column_blocks(plan, peak: int, cols: int, run) -> list:
     several blocks and several cores the blocks go to the pool with the
     term kernel; otherwise they run inline with ``np.matmul``.
     """
-    width = max(1, _BLOCK_ENTRIES // peak)
+    width = _block_width(peak)
     starts = range(0, cols, width)
     if len(starts) == 1 or _WORKERS == 1:
         chain = functools.partial(_matmul_steps, plan)

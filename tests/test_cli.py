@@ -258,12 +258,15 @@ def _printed_blocks(out):
 def _gaussian_point_file(tmp_path, name):
     if name == "family7":
         return family_file(tmp_path, 7), ["--at", "p=1/2 + 3/4*i", "--at", "q=2 + i"]
+    if name == "family7-negative":
+        # alpha^2 = q^-4 = -1/4, a negative rational with the root i/2
+        return family_file(tmp_path, 7), ["--at", "p=1/2 + 3/4*i", "--at", "q=-1 + i"]
     field = {"backend": "exact", "indeterminates": ["q"], "imaginary": False}
     path = write_json(tmp_path / "sl3.json", {"n": 3, "field": field, "entries": sl_n_entries(3)})
     return path, ["--at", "q=1/2 + 3/4*i"]
 
 
-@pytest.mark.parametrize("name", ["sl3", "family7"])
+@pytest.mark.parametrize("name", ["sl3", "family7", "family7-negative"])
 def test_exact_gaussian_point_prints_a_gaussian_alpha(tmp_path, capsys, name):
     """alpha^2 = q^-2n at a Gaussian q has the Gaussian root q^-n, up to sign."""
     path, at = _gaussian_point_file(tmp_path, name)
@@ -274,6 +277,9 @@ def test_exact_gaussian_point_prints_a_gaussian_alpha(tmp_path, capsys, name):
     alpha = re.search(r"^alpha = (.*)", out, re.M).group(1)
     assert "i" in alpha
     assert gauss.parse(alpha) * gauss.parse(alpha) == gauss.parse(alpha_sq)
+    if name == "family7-negative":
+        assert gauss.parse(alpha_sq) == gauss.parse("-1/4")
+        assert gauss.parse(alpha) == gauss.parse("i/2")
     assert main(["enhance", path, *at]) == 0
     out = capsys.readouterr().out
     assert out.startswith("alpha = %s\n" % alpha)

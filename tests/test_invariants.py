@@ -21,6 +21,8 @@ from ybtk.rmatrix import braid_forms, compute_uv, enhance
 from ybtk.scalars import Field, exact_tag, float_tag
 from ybtk.tensors import Mat, Tensor4, permutation
 
+from helpers import sl_n_r
+
 QQ = Field(exact_tag())
 C = Field(float_tag())
 
@@ -272,10 +274,20 @@ def test_tangle_parse_format_roundtrip():
 
 
 def test_tangle_type_mismatch_reports_layer():
-    bad = TangleWord((("cup",), ("x+", "u")))
-    with pytest.raises(TangleTypeError) as err:
-        bad.layer_types()
-    assert err.value.layer_index == 1
+    # at layer 1 and at the last layer, from layer_types and from tangle_eval
+    inp = family7_normalized_pair()
+    first = TangleWord((("cup",), ("x+", "u")))
+    closure = closure_word(BraidWord.parse("strands=2 s1 s1'"))
+    last = TangleWord(closure.layers[:-1] + (("cap",),))
+    cases = [(first, 1, ("+", "+", "+"), ("+", "-")),
+             (last, len(last.layers) - 1, ("-", "+"), ("+", "-"))]
+    for word, index, expected, found in cases:
+        for run in (word.layer_types, lambda: tangle_eval(word, inp)):
+            with pytest.raises(TangleTypeError) as err:
+                run()
+            assert err.value.layer_index == index
+            assert err.value.expected == expected
+            assert err.value.found == found
 
 
 def test_tangle_unknown_piece():
@@ -397,3 +409,128 @@ def test_closure_matches_trace_random_float():
         via_trace = turaev(inp, word)
         via_tangle = tangle_eval(closure_word(word), inp).at(0, 0)
         assert abs(via_trace - via_tangle) <= 1e-9 * max(1.0, abs(via_trace))
+
+
+# ---------------------------------------------------------------------------
+# one pass over the layers; S^-1 and mu^-1 formed once per matrix
+
+FLOAT_Q = complex(1.3, 0.2)
+
+
+def float_family7_pair(q=FLOAT_Q):
+    """The exact family-7 pair at p = 1, evaluated at a float q, in fresh matrices."""
+    exact = InvariantInput.from_pair(enhance(fixture(7, bindings={"p": "1"}).r).pairs[0])
+    point = {"q": q}
+    return InvariantInput(Tensor4(2, exact.s.mat.evaluate(point, C)), exact.mu.evaluate(point, C),
+                          C.one, C.one)
+
+
+def sl3_pair():
+    r = sl_n_r(Field(exact_tag("q")), 3)
+    return InvariantInput.from_pair(enhance(r).pairs[0])
+
+
+def words_with_inverse_letters(rng, count, strands, letters):
+    """Random braid words, each with at least one S^-1 letter."""
+    out = []
+    while len(out) < count:
+        m = rng.choice(strands)
+        word = BraidWord(m, tuple((rng.randint(1, m - 1), rng.choice([1, -1]))
+                                  for _ in range(rng.randint(*letters))))
+        if any(e < 0 for _, e in word.letters):
+            out.append(word)
+    return out
+
+
+@pytest.mark.parametrize("name", ["float7", "exact7", "exact-sl3"])
+def test_closure_matches_turaev_with_inverse_letters(name):
+    rng = random.Random(41)
+    if name == "float7":
+        inp, words = float_family7_pair(), words_with_inverse_letters(rng, 12, [2, 3, 4, 5], (1, 12))
+    elif name == "exact7":
+        inp, words = family7_normalized_pair(), words_with_inverse_letters(rng, 8, [2, 3, 4], (1, 6))
+    else:
+        inp, words = sl3_pair(), words_with_inverse_letters(rng, 4, [2, 3], (1, 3))
+    for word in words:
+        via_trace = turaev(inp, word)
+        via_tangle = tangle_eval(closure_word(word), inp).at(0, 0)
+        if inp.field.exact:
+            assert via_tangle == via_trace, word.format()
+        else:
+            assert abs(via_tangle - via_trace) <= 1e-9 * max(1.0, abs(via_trace)), word.format()
+
+
+def test_tangle_cap_counts_the_peak_inside_a_layer(monkeypatch):
+    """Pieces act right to left, so cups right of caps raise the state
+    above both layer boundaries; the cap counts that peak, and raises
+    before any state exists."""
+    inp = InvariantInput(Tensor4.identity(C, 2), Mat.identity(C, 2), C.one, C.one)
+    built = []
+
+    class Unbuilt:
+        def apply_slots(self, n, steps):
+            built.append(steps)
+
+    monkeypatch.setattr(Mat, "identity", lambda field, dim: built.append(dim) or Unbuilt())
+
+    def word(cups):
+        # 12 slots, then caps on the left and cups on the right: the
+        # boundaries hold 12 and 2 * cups slots, the peak 12 + 2 * cups
+        return TangleWord((("cup",) * 6, ("cap-",) * 6 + ("cup",) * cups))
+
+    tangle_eval(word(6), inp)  # a peak of 24 slots: n^24 = 4^12 entries fits
+    assert len(built) == 2
+    built.clear()
+    with pytest.raises(StrandLimitError):
+        tangle_eval(word(7), inp)
+    with pytest.raises(StrandLimitError):
+        tangle_eval(closure_word(BraidWord(13)), inp)
+    assert built == []
+
+
+def test_inputs_called_in_alternation_give_their_own_values():
+    rng = random.Random(42)
+    words = words_with_inverse_letters(rng, 6, [3, 4], (2, 8))
+    points = [FLOAT_Q, complex(0.7, -0.4)]
+
+    def values(inp, word):
+        return tangle_eval(closure_word(word), inp).at(0, 0), turaev(inp, word)
+
+    # one point after the other, each on its own input
+    want = []
+    for q in points:
+        inp = float_family7_pair(q)
+        want.append([values(inp, w) for w in words])
+    assert want[0] != want[1]
+    inputs = [float_family7_pair(q) for q in points]
+    for k, word in enumerate(words):
+        for inp, expected in zip(inputs, want):
+            assert values(inp, word) == expected[k]
+
+
+def test_ten_evaluations_invert_s_once(monkeypatch):
+    import numpy as np
+
+    braid = BraidWord.parse("strands=3 s1 s2' s1 s2'")
+    # the closure inverts S; Y_MINUS also inverts mu, for its cup-
+    words = [closure_word(braid), Y_MINUS]
+    float_inp = float_family7_pair()
+    shapes = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or inv(a))
+    values = [tangle_eval(w, float_inp).tolist() for _ in range(10) for w in words]
+    assert all(v == values[k % 2] for k, v in enumerate(values))
+    assert sorted(shapes) == [(2, 2), (4, 4)]
+
+    exact = family7_normalized_pair()
+    exact_inp = InvariantInput(Tensor4(2, Mat.from_rows(exact.field, exact.s.mat.tolist())),
+                               Mat.from_rows(exact.field, exact.mu.tolist()), exact.alpha, exact.beta)
+    inverted = []
+    gauss_jordan = Mat._gauss_jordan
+    monkeypatch.setattr(Mat, "_gauss_jordan",
+                        lambda self, augment: inverted.append(self) or gauss_jordan(self, augment))
+    for _ in range(10):
+        assert tangle_eval(words[0], exact_inp).at(0, 0) == turaev(exact_inp, braid)
+        assert tangle_eval(words[1], exact_inp).eq(tangle_eval(words[1], exact))
+    assert sum(m is exact_inp.s.mat for m in inverted) == 1
+    assert sum(m is exact_inp.mu for m in inverted) == 1

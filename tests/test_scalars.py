@@ -220,6 +220,15 @@ def test_monomial_sqrt_gaussian_principal_root():
     assert monomial_sqrt(QI.parse("-1/4")) is None
 
 
+def test_monomial_sqrt_of_a_negative_rational_needs_i():
+    # the principal root sqrt(-c)*i, as cmath.sqrt gives, only where i exists
+    assert monomial_sqrt(QI.parse("-1/4"), imaginary=True) == QI.parse("i/2")
+    assert monomial_sqrt(QI.parse("-4*q^-4"), imaginary=True) == QI.parse("2*i*q^-2")
+    assert monomial_sqrt(QI.parse("-2*q^2"), imaginary=True) is None
+    assert monomial_sqrt(q("-q^2")) is None
+    assert monomial_sqrt(QI.parse("-1/4")) is None
+
+
 def test_monomial_sqrt_float():
     z = monomial_sqrt(complex(-4))
     assert abs(z - 2j) < 1e-12

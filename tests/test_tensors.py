@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ybtk import tensors
@@ -11,7 +12,7 @@ from ybtk.errors import SingularMatrixError
 from ybtk.scalars import Field, exact_tag, float_tag
 from ybtk.tensors import Mat, Tensor4, embed, permutation, yb_sides
 
-from helpers import entrywise_evaluate, rand_invertible, rand_mat, rand_tensor4, sl_n_r
+from helpers import dense_inverse, entrywise_evaluate, rand_invertible, rand_mat, rand_tensor4, sl_n_r
 
 QQ = Field(exact_tag())
 Q = Field(exact_tag("q"))
@@ -229,6 +230,32 @@ def test_invert_singular_raises():
 def test_invert_zero_pivot_row_swap():
     m = Mat.from_rows(QQ, [[QQ.zero, QQ.one], [QQ.one, QQ.zero]])
     assert (m @ m.inverse()).is_identity()
+
+
+def test_kept_inverse_matches_the_dense_reference_on_every_call():
+    matrices = [fixture(7).r.mat, fixture(9).r.mat, sl_n_r(Q, 3).mat,
+                rand_invertible(random.Random(13), QQ, 4)]
+    for m in matrices:
+        want = dense_inverse(m).format_rows()
+        first = m.inverse()
+        assert first.format_rows() == want
+        second = m.inverse()
+        assert second is first and second.format_rows() == want
+        m.check_invertible()
+    m = rand_invertible(random.Random(14), C, 4)
+    first = m.inverse()
+    assert m.inverse() is first and (m @ first).is_identity()
+
+
+def test_singular_matrix_raises_on_every_call():
+    rows = [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [-1, 0, 0, 1]]
+    for field in (QQ, C):
+        singular = tensor_from_rows(field, 2, rows).t2().mat
+        for _ in range(3):
+            with pytest.raises(SingularMatrixError):
+                singular.inverse()
+            with pytest.raises(SingularMatrixError):
+                singular.check_invertible()
 
 
 # ---------------------------------------------------------------------------
@@ -471,3 +498,23 @@ def test_evaluate_substitutes_each_stored_entry_once(monkeypatch, target):
     # 5 q's on the diagonal, 20 ones and 10 (q - q^-1) among 625 entries
     assert len(calls) == 35
 
+
+
+def test_single_block_float_state_skips_the_block_scheduler(monkeypatch):
+    rng = random.Random(15)
+    s = rand_tensor4(rng, C, 2)
+    state = rand_mat(rng, C, 8, 8)
+    steps = [(s.mat, 0), (s.mat, 1)]
+    want = state.apply_slots(2, steps)
+    monkeypatch.setattr(tensors, "_column_blocks", lambda *args: pytest.fail("blocks were scheduled"))
+    got = state.apply_slots(2, steps)
+    assert got.tolist() == want.tolist()
+    assert got.eq(s.lift23() @ s.lift12() @ state)
+    # no steps: a copy of the state, not a view of it
+    same = state.apply_slots(2, [])
+    assert same.tolist() == state.tolist() and not np.shares_memory(same._a, state._a)
+    monkeypatch.undo()
+    # a state over one block still runs through the scheduler, with the same values
+    monkeypatch.setattr(tensors, "_BLOCK_ENTRIES", 16)
+    blocked = state.apply_slots(2, steps)
+    assert blocked.eq(want)
