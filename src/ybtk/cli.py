@@ -128,18 +128,29 @@ def _tag_from_dict(d) -> FieldTag:
     if not isinstance(d, dict) or "backend" not in d:
         raise MatrixFileError("field must be an object with a 'backend'")
     backend = d["backend"]
+    if backend == "exact":
+        names = d.get("indeterminates", [])
+        if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+            raise MatrixFileError("'indeterminates' must be a list of symbol names, got %r" % (names,))
+        imaginary = d.get("imaginary", False)
+        if not isinstance(imaginary, bool):
+            raise MatrixFileError("'imaginary' must be true or false, got %r" % (imaginary,))
+        args = ("exact", tuple(names), imaginary)
+    elif backend == "float":
+        tolerance = d.get("tolerance", 1e-9)
+        # a string may spell nan or inf, which FieldTag then refuses
+        try:
+            if isinstance(tolerance, bool):
+                raise TypeError
+            args = ("float", (), True, float(tolerance))
+        except (TypeError, ValueError):
+            raise MatrixFileError("'tolerance' must be a number, got %r" % (tolerance,)) from None
+    else:
+        raise MatrixFileError("unknown backend %r" % (backend,))
     try:
-        if backend == "exact":
-            return FieldTag(
-                "exact",
-                tuple(d.get("indeterminates", ())),
-                bool(d.get("imaginary", False)),
-            )
-        if backend == "float":
-            return FieldTag("float", (), True, float(d.get("tolerance", 1e-9)))
-    except (ValueError, TypeError) as exc:
+        return FieldTag(*args)
+    except ValueError as exc:
         raise MatrixFileError("bad field description: %s" % exc) from exc
-    raise MatrixFileError("unknown backend %r" % (backend,))
 
 
 def _not_utf8(path: str, exc: UnicodeDecodeError) -> MatrixFileError:
@@ -159,12 +170,9 @@ def read_matrix(path: str) -> MatrixFile:
         raise MatrixFileError("%s: line %d: %s" % (path, exc.lineno, exc.msg)) from exc
     if not isinstance(raw, dict):
         raise MatrixFileError("matrix file must be a JSON object")
-    try:
-        n = int(raw["n"])
-    except (KeyError, TypeError, ValueError):
-        raise MatrixFileError("missing or bad 'n'") from None
-    if n < 1:
-        raise MatrixFileError("n must be positive")
+    n = raw.get("n")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise MatrixFileError("missing or bad 'n': expected a positive integer, got %r" % (n,))
     tag = _tag_from_dict(raw.get("field", {}))
     entries = raw.get("entries")
     if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
@@ -341,27 +349,25 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_invariant(args) -> int:
+def _invariant_input(args) -> InvariantInput:
+    """The loaded file as an invariant input; alpha and beta default to 1."""
     loaded = _load(args)
     if loaded.mu is None:
-        raise MatrixFileError("invariant needs a 'mu' block in the matrix file")
-    field = loaded.field
-    alpha = loaded.alpha if loaded.alpha is not None else field.one
-    beta = loaded.beta if loaded.beta is not None else field.one
+        raise MatrixFileError("%s needs a 'mu' block in the matrix file" % args.command)
+    alpha, beta = (loaded.field.one if x is None else x for x in (loaded.alpha, loaded.beta))
+    return InvariantInput(loaded.r, loaded.mu, alpha, beta)
+
+
+def _cmd_invariant(args) -> int:
+    inp = _invariant_input(args)
     word = BraidWord.parse(args.braid)
-    inp = InvariantInput(loaded.r, loaded.mu, alpha, beta)
     value = turaev(inp, word, max_strands=args.max_strands)
     print(format_scalar(value))
     return 0
 
 
 def _cmd_tangle(args) -> int:
-    loaded = _load(args)
-    if loaded.mu is None:
-        raise MatrixFileError("tangle needs a 'mu' block in the matrix file")
-    field = loaded.field
-    alpha = loaded.alpha if loaded.alpha is not None else field.one
-    beta = loaded.beta if loaded.beta is not None else field.one
+    inp = _invariant_input(args)
     try:
         with open(args.word, "r", encoding="utf-8") as fh:
             word = TangleWord.parse(fh.read())
@@ -369,7 +375,6 @@ def _cmd_tangle(args) -> int:
         raise MatrixFileError("cannot read %s: %s" % (args.word, exc)) from exc
     except UnicodeDecodeError as exc:
         raise _not_utf8(args.word, exc) from exc
-    inp = InvariantInput(loaded.r, loaded.mu, alpha, beta)
     result = tangle_eval(word, inp)
     if result.rows == 1 and result.cols == 1:
         print(format_scalar(result.at(0, 0)))

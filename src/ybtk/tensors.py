@@ -49,18 +49,18 @@ the starting identity columns.  The other steps then decide the path:
 
 An exact ``Mat`` stores only its nonzero entries, as ``{row: {col: x}}``
 dicts with no empty row, so the exact kernel runs on the matrix itself
-and costs the nonzeros of the state times those of the operator.
-Wherever entries are summed, the rows and columns are walked in
-ascending order, as a dense loop would: ``RatFun`` keeps no gcd, so the
-order of additions decides the printed form of a sum.
+and costs the nonzeros of the state times those of the operator.  An
+exact product ``A @ B`` is one step of that kernel, ``A`` acting on the
+rows of ``B``.  Wherever entries are summed, the rows and columns are
+walked in ascending order, as a dense loop would: ``RatFun`` keeps no
+gcd, so the order of additions decides the printed form of a sum.
 
-Float states are processed in column blocks of ``_BLOCK_ENTRIES``
-entries (sector blocks: ``_SECTOR_BLOCK_ENTRIES``).  One block, or a
-single usable core, runs inline (dense blocks through ``np.matmul``).
-Several blocks run on a module-level thread pool with one worker per
-usable core, a dense step being a few numpy ufunc calls over the
-operator's nonzero entries; results are combined in block order, so
-repeated calls agree bitwise.
+Each backend has one step runner.  Float states are processed in column
+blocks of ``_BLOCK_ENTRIES`` entries, each running the steps inline
+through ``np.matmul``, in block order, so repeated calls agree bitwise.
+Sector blocks (``_SECTOR_BLOCK_ENTRIES`` entries) run on a module-level
+thread pool with one worker per usable core when there are several of
+them, and their results are summed in block order too.
 """
 
 from __future__ import annotations
@@ -79,10 +79,12 @@ from .scalars import Field, Scalar, substitute
 __all__ = ["Mat", "Tensor4", "permutation", "embed", "yb_sides"]
 
 # Column-block size of the float kernel, in entries (2 MB; 2^16 to 2^18
-# ran alike): a call holds its input, its output and a few blocks per
-# thread instead of three full states, and a trace holds no full state.
-# Pooled steps use numpy ufuncs, not np.matmul: BLAS runs its own
-# threads, and np.matmul on two Python threads ran no faster than on one.
+# ran alike): a call holds its input, its output and a few blocks instead
+# of three full states, and a trace holds no full state.  Dense blocks
+# stay off the thread pool: BLAS runs its own threads, and on 2 cores
+# (OpenBLAS, 2 threads) a dense one-sector trace at m = 10 with 28 letters
+# took 0.08-0.10 s inline through np.matmul, 0.11-0.17 s with np.matmul
+# blocks on the pool and 0.26-0.43 s with per-nonzero ufunc steps there.
 _BLOCK_ENTRIES = 1 << 17
 # Sector blocks (see slot_trace) gather rows from anywhere in their
 # block, and ran about 8% faster at 2^15 or 2^16 entries than at 2^17 on
@@ -209,17 +211,8 @@ class Mat:
             raise ValueError("matmul shape mismatch")
         if not self.field.exact:
             return Mat(self.field, self.rows, other.cols, self._a @ other._a)
-        b = other._a
-        out = []
-        for i, ai in self._a.items():
-            acc: dict = {}
-            for k in sorted(ai):
-                x = ai[k]
-                for j, y in b.get(k, _NO_ROW).items():
-                    z = acc.get(j)
-                    acc[j] = x * y if z is None else z + x * y
-            out.append((i, acc.items()))
-        return Mat(self.field, self.rows, other.cols, _sparse(out))
+        # self as one step on other's rows: each entry a sum over ascending k
+        return Mat(self.field, self.rows, other.cols, _exact_steps(other._a, [(self, 1, 1)]))
 
     def transpose(self) -> "Mat":
         if self.field.exact:
@@ -280,10 +273,10 @@ class Mat:
                 return Mat(self.field, rows, self.cols, a)
             out = np.empty((rows, self.cols), dtype=complex)
 
-            def fill(c0, c1, chain):
-                out[:, c0:c1] = chain(self._a[:, c0:c1])
+            def fill(c0, c1):
+                out[:, c0:c1] = _matmul_steps(plan, self._a[:, c0:c1])
 
-            _column_blocks(plan, peak, self.cols, fill)
+            _column_blocks(peak, self.cols, fill)
             return Mat(self.field, rows, self.cols, out)
         return Mat(self.field, rows, self.cols, _exact_steps(self._a, plan))
 
@@ -529,49 +522,10 @@ def _matmul_steps(plan, block):
     return block.reshape(-1, w)
 
 
-def _term_steps(plan, peak: int):
-    """A float plan as BLAS-free ufunc calls on a column block.
-
-    Each step sets ``out[:, i, :] = sum_j op[i, j] x[:, j, :]`` over the
-    nonzero ``op[i, j]``, which are listed once here for every block.  The
-    steps alternate between two buffers of ``peak`` rows that each thread
-    allocates once per call.
-    """
-    terms = [(left, op.cols, [[(j, v) for j, v in enumerate(row) if v] for row in op._a.tolist()])
-             for op, left, _ in plan]
-
-    local = threading.local()
-
-    def run(block):
-        w = block.shape[1]
-        bufs = getattr(local, "bufs", None)
-        if bufs is None or len(bufs[0]) < peak * w:
-            bufs = local.bufs = [np.empty(peak * w, dtype=complex) for _ in range(3)]
-        for k, (left, k_in, op_rows) in enumerate(terms):
-            x = block.reshape(left, k_in, -1)
-            inner = x.shape[2]
-            out = bufs[k % 2][:left * len(op_rows) * inner].reshape(left, len(op_rows), inner)
-            tmp = bufs[2][:left * inner].reshape(left, inner)
-            for i, row in enumerate(op_rows):
-                o = out[:, i]
-                if not row:
-                    o.fill(0)
-                    continue
-                j, v = row[0]
-                np.multiply(x[:, j], v, out=o)
-                for j, v in row[1:]:
-                    np.multiply(x[:, j], v, out=tmp)
-                    np.add(o, tmp, out=o)
-            block = out.reshape(-1, w)
-        return block
-
-    return run
-
-
 def _executor():
     global _POOL
     if _POOL is None:
-        # imported here: the import costs a few ms that one-block callers never need
+        # imported here: the import costs a few ms that most callers never need
         from concurrent.futures import ThreadPoolExecutor
 
         _POOL = ThreadPoolExecutor(_WORKERS)
@@ -579,7 +533,7 @@ def _executor():
 
 
 def _map_blocks(fn, tasks) -> list:
-    """``fn`` on each task, results in task order.
+    """``fn`` on each sector-trace task, results in task order.
 
     Several tasks on several cores go to the pool; otherwise they run
     inline.
@@ -594,20 +548,10 @@ def _block_width(peak: int) -> int:
     return max(1, _BLOCK_ENTRIES // peak)
 
 
-def _column_blocks(plan, peak: int, cols: int, run) -> list:
-    """``run(c0, c1, chain)`` on each column block, results in block order.
-
-    ``chain`` applies the float plan to a ``(rows, c1 - c0)`` block.  With
-    several blocks and several cores the blocks go to the pool with the
-    term kernel; otherwise they run inline with ``np.matmul``.
-    """
+def _column_blocks(peak: int, cols: int, run) -> list:
+    """``run(c0, c1)`` on each column block, inline and in block order."""
     width = _block_width(peak)
-    starts = range(0, cols, width)
-    if len(starts) == 1 or _WORKERS == 1:
-        chain = functools.partial(_matmul_steps, plan)
-    else:
-        chain = _term_steps(plan, peak)
-    return _map_blocks(lambda c0: run(c0, min(c0 + width, cols), chain), starts)
+    return [run(c0, min(c0 + width, cols)) for c0 in range(0, cols, width)]
 
 
 def _leading_diagonal(n: int, m: int, steps):
@@ -782,13 +726,13 @@ def slot_trace(field: Field, n: int, m: int, steps) -> Scalar:
     if len(sizes) > 1:
         return _sector_trace(n, m, steps, start, order, sizes)
 
-    def diagonal(c0, c1, chain):
+    def diagonal(c0, c1):
         cols = np.arange(c1 - c0)
         block = np.zeros((dim, c1 - c0), dtype=complex)
         block[c0 + cols, cols] = start[c0:c1]
-        return complex(chain(block)[c0 + cols, cols].sum())
+        return complex(_matmul_steps(plan, block)[c0 + cols, cols].sum())
 
-    return sum(_column_blocks(plan, peak, dim, diagonal), 0j)
+    return sum(_column_blocks(peak, dim, diagonal), 0j)
 
 
 class Tensor4:

@@ -139,7 +139,21 @@ def entrywise_contraction(first: Tensor4, second: Tensor4) -> Mat:
 
 # ---------------------------------------------------------------------------
 # dense references for the exact fast paths: the sparse Mat.compare,
-# RatFun.__eq__ and the sparse Gauss-Jordan of Mat.inverse
+# RatFun.__eq__, the sparse Gauss-Jordan of Mat.inverse and the exact
+# product that Mat.__matmul__ runs through the slot kernel
+
+
+def dense_matmul(a: Mat, b: Mat) -> Mat:
+    """Exact ``a @ b`` as a loop over every i, k and j, each sum in ascending k."""
+    f, right = a.field, b.tolist()
+    rows = []
+    for row in a.tolist():
+        acc = [f.zero] * b.cols
+        for k, x in enumerate(row):
+            for j, y in enumerate(right[k]):
+                acc[j] = acc[j] + x * y
+        rows.append(acc)
+    return Mat.from_rows(f, rows)
 
 
 def entrywise_compare(a: Mat, b: Mat):

@@ -389,6 +389,30 @@ def test_bad_tolerance_in_file_exits_2(tmp_path, capsys, value):
     assert len(err.splitlines()) == 1 and "tolerance must be finite and positive" in err
 
 
+@pytest.mark.parametrize("key,change", [
+    ("imaginary", {"field": {"backend": "exact", "indeterminates": [], "imaginary": "false"}}),
+    ("indeterminates", {"field": {"backend": "exact", "indeterminates": "pq"}}),
+    ("indeterminates", {"field": {"backend": "exact", "indeterminates": [1]}}),
+    ("n", {"n": 1.9}),
+    ("n", {"n": True}),
+    ("n", {"n": "2"}),
+    ("tolerance", {"field": {"backend": "float", "tolerance": True}}),
+    ("tolerance", {"field": {"backend": "float", "tolerance": [1e-9]}}),
+    ("tolerance", {"field": {"backend": "float", "tolerance": "small"}}),
+], ids=["imaginary_string", "indeterminates_string", "indeterminates_int", "n_float", "n_bool",
+        "n_string", "tolerance_bool", "tolerance_list", "tolerance_word"])
+def test_wrongly_typed_file_field_exits_2_naming_the_key(tmp_path, capsys, key, change):
+    body = dict(TRIVIAL, **change)
+    # the entry "i" parses only if the file enables i
+    body["entries"] = ["i"] + TRIVIAL["entries"][1:]
+    path = write_json(tmp_path / "f.json", body)
+    assert main(["check", path]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert captured.out == "" and len(err.splitlines()) == 1
+    assert err.startswith("input error:") and "'%s'" % key in err
+
+
 def test_invariant_trivial_quadruple(trivial_file, capsys):
     assert main(["invariant", trivial_file, "--braid", "strands=3 s1 s2 s1'"]) == 0
     assert capsys.readouterr().out.strip() == "1"
@@ -397,6 +421,16 @@ def test_invariant_trivial_quadruple(trivial_file, capsys):
 def test_invariant_bad_braid_exit2(trivial_file, capsys):
     assert main(["invariant", trivial_file, "--braid", "nope"]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["invariant", "tangle"])
+def test_invariant_and_tangle_without_mu_exit_2(tmp_path, capsys, command):
+    body = {k: v for k, v in TRIVIAL.items() if k != "mu"}
+    path = write_json(tmp_path / "nomu.json", body)
+    # the mu check comes before the braid or the word file is read
+    extra = ["--braid", "nope"] if command == "invariant" else ["--word", str(tmp_path / "missing.txt")]
+    assert main([command, path, *extra]) == 2
+    assert capsys.readouterr().err == "input error: %s needs a 'mu' block in the matrix file\n" % command
 
 
 def test_invariant_strand_cap_exit3(trivial_file, capsys):

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from ybtk.catalog import fixture
@@ -151,7 +152,7 @@ def test_tangle_cap_raises_before_allocating():
 
 
 # ---------------------------------------------------------------------------
-# the slot trace: column blocks on the pool, inline, and exact
+# the slot trace: dense blocks inline, sector blocks on the pool, and exact
 
 
 @pytest.fixture
@@ -222,6 +223,29 @@ def test_one_worker_runs_inline_with_the_same_value(two_workers, monkeypatch):
     monkeypatch.setattr(tensors, "_executor", lambda: pytest.fail("the pool was used"))
     for inp, want in zip(inputs, pooled):
         assert abs(turaev(inp, word) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_dense_float_blocks_run_inline_and_repeat_bitwise(two_workers, monkeypatch):
+    monkeypatch.setattr(tensors, "_executor", lambda: pytest.fail("the pool was used"))
+    monkeypatch.setattr(tensors, "_sector_trace", lambda *a: pytest.fail("the sector path ran"))
+    blocks = []
+    column_blocks = tensors._column_blocks
+    monkeypatch.setattr(tensors, "_column_blocks",
+                        lambda peak, cols, run: blocks.append(cols) or column_blocks(peak, cols, run))
+    m = 9
+    assert 2 ** (2 * m) > tensors._BLOCK_ENTRIES
+    word = rand_word(random.Random(1700), m, 12)
+    # family 7's sparse S through braid_rep, then a dense S through the trace
+    s = float_family_pair(7).s
+    got = braid_rep(s, word)
+    assert got.compare(kron_braid_rep(s, word))[0]
+    assert np.array_equal(braid_rep(s, word)._a, got._a)
+    s = dense_float_input().s
+    steps = [(s.mat if eps > 0 else s.inverse().mat, i - 1) for i, eps in reversed(word.letters)]
+    got = slot_trace(C, 2, m, steps)
+    assert_close(got, kron_braid_rep(s, word).trace())
+    assert slot_trace(C, 2, m, steps) == got
+    assert blocks == [2 ** m] * 4
 
 
 def test_float_turaev_holds_no_dense_state(two_workers):

@@ -9,10 +9,21 @@ import pytest
 from ybtk import tensors
 from ybtk.catalog import families, fixture
 from ybtk.errors import SingularMatrixError
+from ybtk.invariants import InvariantInput
+from ybtk.rmatrix import enhance
 from ybtk.scalars import Field, exact_tag, float_tag
 from ybtk.tensors import Mat, Tensor4, embed, permutation, yb_sides
 
-from helpers import dense_inverse, entrywise_evaluate, rand_invertible, rand_mat, rand_tensor4, sl_n_r
+from helpers import (
+    dense_inverse,
+    dense_matmul,
+    entrywise_evaluate,
+    kron_piece,
+    rand_invertible,
+    rand_mat,
+    rand_tensor4,
+    sl_n_r,
+)
 
 QQ = Field(exact_tag())
 Q = Field(exact_tag("q"))
@@ -404,6 +415,48 @@ def test_exact_sums_add_in_ascending_order():
         Mat.identity(Q, 1).apply_slots(3, [(column, 0), (ones, 0)]).at(0, 0),
     ]
     assert [Q.format(x) for x in sums] == [want] * len(sums)
+
+
+def exact_products():
+    """Named exact factor pairs: catalog R with R^{t2}, U_q(sl_3) and U_q(sl_4),
+    a cup and a cap, random sparse factors, and products whose sums cancel."""
+    for fam in families():
+        r = fixture(fam.id).r
+        yield "family%s" % fam.id, r.mat, r.t2().mat
+        yield "family%s_t2" % fam.id, r.t2().mat, r.mat
+    for n in (3, 4):
+        r = sl_n_r(Q, n)
+        yield "sl%d" % n, r.mat, r.t2().mat
+    inp = InvariantInput.from_pair(enhance(fixture(7).r).pairs[0])
+    cup, cap = kron_piece("cup-", inp.s, inp.mu), kron_piece("cap-", inp.s, inp.mu)
+    yield "cup_cap", cup, cap
+    yield "cap_cup", cap, cup
+    yield "s_cup", inp.s.mat, cup
+    yield "cap_s", cap, inp.s.mat
+    # R R^{-1}: every off-diagonal sum cancels
+    r = fixture(7).r.mat
+    yield "cancel", r, r.inverse()
+    rng = random.Random(16)
+    yield "random", rand_mat(rng, Q, 5, 6, density=0.6), rand_mat(rng, Q, 6, 4, density=0.6)
+    # [[1, -1], [q, 1]] @ [[q, 1], [q, 1]]: row 0 cancels to empty
+    one, q = Q.one, Q.sym("q")
+    yield "empty_row", Mat.from_rows(Q, [[one, -one], [q, one]]), Mat.from_rows(Q, [[q, one], [q, one]])
+    # RatFun keeps no gcd, so these sums print by the order of additions
+    column = Mat.from_rows(Q, [[Q.parse(t)] for t in ("1/(q+1)", "1/(q+1)", "1/(q+2)")])
+    yield "sum_order", Mat.from_rows(Q, [[one, one, one], [q, one, q]]), column
+
+
+def test_exact_matmul_matches_the_dense_loop():
+    for name, a, b in exact_products():
+        got, want = a @ b, dense_matmul(a, b)
+        assert (got.rows, got.cols) == (a.rows, b.cols), name
+        assert got._a == want._a, name
+        assert got.format_rows() == want.format_rows(), name
+        assert_sparse(got)
+        if name == "cancel":
+            assert got.is_identity()
+        if name == "empty_row":
+            assert got._a.keys() == {1}
 
 
 # ---------------------------------------------------------------------------
