@@ -39,7 +39,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .scalars import Scalar, monomial_sqrt, scalar_invert
-from .tensors import Mat, Tensor4, embed, permutation, yb_sides
+from .tensors import Mat, Tensor4, embed
 
 __all__ = [
     "AxiomResult",
@@ -135,8 +135,15 @@ def _compare(lhs: Mat, rhs: Mat, label: str = "") -> AxiomResult:
 
 
 def check_qyb(r: Tensor4) -> AxiomResult:
-    """Quantum Yang-Baxter check; the witness is a component equation."""
-    left, right = yb_sides(r)
+    """Quantum Yang-Baxter check; the witness is a component equation.
+
+    For every R, with B = PR, ``R12 R13 R23`` is ``B23 B12 B23`` and
+    ``R23 R13 R12`` is ``B12 B23 B12``, each with its three row slots
+    reversed: three kernel steps a side and no flip step.
+    """
+    b121, b232 = _braid_sides(r.permute_axes((1, 0, 2, 3)))
+    reverse = (2, 1, 0, 3, 4, 5)
+    left, right = b232.permute_axes(r.n, reverse), b121.permute_axes(r.n, reverse)
     ok, residual, witness = left.compare(right)
     if ok:
         return AxiomResult(True, residual)
@@ -152,9 +159,11 @@ def check_qyb(r: Tensor4) -> AxiomResult:
 
 
 def braid_forms(r: Tensor4) -> tuple[Tensor4, Tensor4]:
-    """The braid-style solutions (PR, RP) attached to R."""
-    p = permutation(r.field, r.n)
-    return p @ r, r @ p
+    """The braid-style solutions (PR, RP) attached to R, as index maps.
+
+    ``(PR)^{ab}_{cd} = R^{ba}_{cd}`` and ``(RP)^{ab}_{cd} = R^{ab}_{dc}``.
+    """
+    return r.permute_axes((1, 0, 2, 3)), r.permute_axes((0, 1, 3, 2))
 
 
 def second_inverse(r: Tensor4) -> Tensor4:
@@ -197,11 +206,24 @@ class EnhancementOutcome:
     alpha: Scalar | None = None
 
 
-def _scalar_multiple_of_identity(m: Mat) -> Scalar | None:
-    """The nonzero scalar c with m == c*I under the field's equality, or None."""
-    f = m.field
-    c = m.at(0, 0)
-    if f.is_zero(c) or not m.eq(Mat.identity(f, m.rows).scale(c)):
+def _scalar_multiple_of_identity(vu: Mat, v: Mat, u: Mat) -> Scalar | None:
+    """The nonzero scalar c with VU == c*I, or None.
+
+    Exact backend: under the field's equality.  Float backend: in the
+    magnitude ``M = |V||U|`` of VU's terms, which bounds their round-off
+    where VU itself may be tiny (q^-8 I for sl_4 at q = 15): c is nonzero
+    when ``|c| > tol*M00``, and ``|VU - cI| <= tol*(M + M00*I)`` entry by
+    entry.
+    """
+    f = vu.field
+    c = vu.at(0, 0)
+    eye = Mat.identity(f, vu.rows)
+    if f.exact:
+        return None if c.is_zero or not vu.eq(eye.scale(c)) else c
+    mag = v.abs() @ u.abs()
+    m00 = mag.at(0, 0).real
+    excess = (vu - eye.scale(c)).abs() - (mag + eye.scale(m00)).scale(f.tolerance)
+    if abs(c) <= f.tolerance * m00 or any(x.real > 0 for row in excess.tolist() for x in row):
         return None
     return c
 
@@ -214,7 +236,7 @@ def enhancement_test(r: Tensor4) -> EnhancementOutcome:
         return EnhancementOutcome(biinvertible=False)
     vu = v @ u
     uv = u @ v
-    alpha_sq = _scalar_multiple_of_identity(vu)
+    alpha_sq = _scalar_multiple_of_identity(vu, v, u)
     alpha = monomial_sqrt(alpha_sq, r.field.tag.imaginary) if alpha_sq is not None else None
     return EnhancementOutcome(
         biinvertible=True,
@@ -292,7 +314,7 @@ def enhance(r: Tensor4) -> Enhancement:
     Requires biinvertibility and VU = alpha^2 I with a representable
     alpha.  Every returned object has already passed its verifier's
     axioms; the four checks share one inverse of R, and on the exact
-    backend one braid-relation run per braid form.
+    backend one braid-relation run.
     """
     outcome = enhancement_test(r)
     if not outcome.biinvertible:
@@ -319,9 +341,7 @@ def enhance(r: Tensor4) -> Enhancement:
     # (alpha S)^-1 = alpha^-1 S^-1
     r_inv = r.inverse()
     inverses = [r_inv.permute_axes((0, 1, 3, 2)), r_inv.permute_axes((1, 0, 2, 3))]
-    # the braid relation is homogeneous of degree 3 in S, so alpha S and S
-    # pass or fail it together; float tolerance is not scale-invariant
-    braid = [_yb3(pair.s) for pair in pairs]
+    braid = _braid_relations(pairs)
     for pair, s_inv, yb3 in zip(pairs, inverses, braid):
         report = _pair_report(pair.s, pair.mu, s_inv.scale(inv_alpha), yb3)
         _require("pair", pair.provenance, report)
@@ -331,6 +351,21 @@ def enhance(r: Tensor4) -> Enhancement:
         report = _quadruple_report(quad.s, quad.mu, quad.alpha, quad.beta, s_inv, yb3)
         _require("quadruple", quad.provenance, report)
     return Enhancement(alpha, pairs, quadruples)
+
+
+def _braid_relations(pairs: list[EnhancedPair]) -> list[AxiomResult]:
+    """The braid relation of each enhanced pair's S, in order (PR, then RP).
+
+    The relation is homogeneous of degree 3 in S, so alpha S and S pass or
+    fail it together.  RP = P (PR) P, and reversing the three slots maps
+    the relation of PR onto that of RP, so on the exact backend one run
+    answers both; when it fails, the PR pair is refused first.  Float
+    tolerance is neither scale- nor rounding-invariant, so float runs each.
+    """
+    if pairs[0].s.field.exact:
+        yb3 = _yb3(pairs[0].s)
+        return [yb3, yb3]
+    return [_yb3(pair.s) for pair in pairs]
 
 
 def _require(kind: str, provenance: str, report: EnhancementReport) -> None:
@@ -345,11 +380,15 @@ def _require(kind: str, provenance: str, report: EnhancementReport) -> None:
 # axiom verifiers
 
 
-def _yb3(s: Tensor4) -> AxiomResult:
+def _braid_sides(s: Tensor4) -> tuple[Mat, Mat]:
+    """``(S12 S23 S12, S23 S12 S23)`` on n^3, three kernel steps each."""
     s12, s23 = [(s.mat, 0)], [(s.mat, 1)]
     eye = Mat.identity(s.field, s.n ** 3)
-    return _compare(eye.apply_slots(s.n, s12 + s23 + s12), eye.apply_slots(s.n, s23 + s12 + s23),
-                    "braid relation")
+    return eye.apply_slots(s.n, s12 + s23 + s12), eye.apply_slots(s.n, s23 + s12 + s23)
+
+
+def _yb3(s: Tensor4) -> AxiomResult:
+    return _compare(*_braid_sides(s), "braid relation")
 
 
 def _invertible(m: Mat) -> bool:
@@ -440,14 +479,13 @@ def _pair_report(s: Tensor4, mu: Mat, s_inv: Tensor4, yb3: AxiomResult) -> Enhan
     minus3 = _compare((s_inv @ mu2).partial_trace2(), eye, "negative sign")
     report.results["ENH3"] = _both(plus3, minus3)
 
-    p = permutation(f, n)
     eye2 = Mat.identity(f, n * n)
     mu_slot2 = embed(mu, "slot2").mat
     mu_inv_slot2 = embed(mu_inv, "slot2").mat
 
     def enh4(first: Tensor4, third: Tensor4) -> AxiomResult:
-        lhs = (p @ first).t1().mat @ mu_slot2 @ (third @ p).t1().mat @ mu_inv_slot2
-        return _compare(lhs, eye2)
+        pf, tp = _enh4_factors(first, third)
+        return _compare(pf.mat @ mu_slot2 @ tp.mat @ mu_inv_slot2, eye2)
 
     report.results["ENH4"] = _both(enh4(s_inv, s), enh4(s, s_inv))
 
@@ -457,8 +495,8 @@ def _pair_report(s: Tensor4, mu: Mat, s_inv: Tensor4, yb3: AxiomResult) -> Enhan
     mut_inv_slot2 = embed(mut_inv, "slot2").mat
 
     def enh5(first: Tensor4, last: Tensor4) -> AxiomResult:
-        lhs = mut_inv_slot2 @ (first @ p).t2().mat @ mut_slot2 @ (p @ last).t2().mat
-        return _compare(lhs, eye2)
+        fp, pl = _enh5_factors(first, last)
+        return _compare(mut_inv_slot2 @ fp.mat @ mut_slot2 @ pl.mat, eye2)
 
     # transpose-dual of the previous axiom: the two S factors carry
     # opposite signs here as well
@@ -468,6 +506,16 @@ def _pair_report(s: Tensor4, mu: Mat, s_inv: Tensor4, yb3: AxiomResult) -> Enhan
         report.results["ENH4"].ok == report.results["ENH5"].ok
     )
     return report
+
+
+def _enh4_factors(first: Tensor4, third: Tensor4) -> tuple[Tensor4, Tensor4]:
+    """``(P first)^{t1}`` and ``(third P)^{t1}``, each one index map."""
+    return first.permute_axes((2, 0, 1, 3)), third.permute_axes((3, 1, 0, 2))
+
+
+def _enh5_factors(first: Tensor4, last: Tensor4) -> tuple[Tensor4, Tensor4]:
+    """``(first P)^{t2}`` and ``(P last)^{t2}``, each one index map."""
+    return first.permute_axes((0, 2, 3, 1)), last.permute_axes((1, 3, 2, 0))
 
 
 def max_residual(*results: AxiomResult) -> float | None:

@@ -383,6 +383,8 @@ def _reduce(num: _Poly, den: _Poly) -> tuple[_Poly, _Poly]:
     """
     if num.is_zero():
         return num, _Poly.const(den.nv, (1, 0))
+    if len(den.terms) == 1:
+        return _reduce_laurent(num, den)
     low_n = num.min_exps()
     low_d = den.min_exps()
     shift = tuple(map(min, low_n, low_d))
@@ -403,6 +405,25 @@ def _reduce(num: _Poly, den: _Poly) -> tuple[_Poly, _Poly]:
         num = num.neg()
         den = den.neg()
     return num, den
+
+
+def _reduce_laurent(num: _Poly, den: _Poly) -> tuple[_Poly, _Poly]:
+    """``_reduce`` for a one-term den, in one pass over num's terms.
+
+    The shift is the componentwise minimum of den's monomial and num's,
+    and g the gcd of every coefficient part, negative when den's
+    coefficient is, so one division also fixes the sign.
+    """
+    t = num.terms
+    ((dm, (dr, di)),) = den.terms.items()
+    shift = tuple(map(min, dm, *t))
+    g = math.gcd(dr, di, *[x for c in t.values() for x in c])
+    if dr < 0 or (not dr and di < 0):
+        g = -g
+    elif g == 1 and not any(shift):
+        return num, den
+    return (_Poly(num.nv, {tuple(map(sub, m, shift)): (re // g, im // g) for m, (re, im) in t.items()}),
+            _Poly(num.nv, {tuple(map(sub, dm, shift)): (dr // g, di // g)}))
 
 
 def _monomial_quotient(num: _Poly, den: _Poly):

@@ -309,6 +309,12 @@ class Mat:
             raise ValueError("max_abs is a float-backend operation")
         return float(np.max(np.abs(self._a))) if self._a.size else 0.0
 
+    def abs(self) -> "Mat":
+        """The entrywise magnitudes ``|A|``; a float-backend operation."""
+        if self.field.exact:
+            raise ValueError("abs is a float-backend operation")
+        return Mat(self.field, self.rows, self.cols, np.abs(self._a).astype(complex))
+
     def compare(self, other: "Mat"):
         """Return (ok, residual, witness) under the field's notion of equality.
 

@@ -4,8 +4,9 @@ import math
 from fractions import Fraction
 
 from ybtk.errors import SingularMatrixError
-from ybtk.scalars import Field, _cmul, _format_poly, _Poly, substitute
-from ybtk.tensors import Mat, Tensor4
+from ybtk.rmatrix import AxiomResult
+from ybtk.scalars import Field, _cmul, _format_poly, _monomial_quotient, _Poly, substitute
+from ybtk.tensors import Mat, Tensor4, permutation, yb_sides
 
 
 def rand_fraction(rng, lo=-5, hi=5):
@@ -215,6 +216,86 @@ def use_dense_references(monkeypatch):
     monkeypatch.setattr(Mat, "compare", compare)
     monkeypatch.setattr(RatFun, "__eq__", cross_multiply_eq)
     monkeypatch.setattr(Mat, "inverse", dense_inverse)
+
+
+# ---------------------------------------------------------------------------
+# references for the exact decision shortcuts: the Yang-Baxter sides with
+# the flip as kernel steps, one braid-relation run per braid form, the flip
+# as a permutation matrix, and the general reduction for every denominator
+
+
+def flip_check_qyb(r: Tensor4) -> AxiomResult:
+    """``check_qyb`` on ``yb_sides``, where R13 = P23 R12 P23 runs as three steps."""
+    left, right = yb_sides(r)
+    ok, residual, witness = left.compare(right)
+    if ok:
+        return AxiomResult(True, residual)
+    n = r.n
+    row, col = witness
+    six = (row // n ** 2, row // n % n, row % n, col // n ** 2, col // n % n, col % n)
+    return AxiomResult(False, residual, six,
+                       "component equation fails at (a,b,c,u,v,w)=%s" % (six,))
+
+
+def each_braid_relation(pairs) -> list:
+    """The braid relation of every enhanced pair, one run each."""
+    from ybtk import rmatrix
+
+    return [rmatrix._yb3(pair.s) for pair in pairs]
+
+
+def flip_braid_forms(r: Tensor4):
+    """(PR, RP) as products with the permutation matrix."""
+    p = permutation(r.field, r.n)
+    return p @ r, r @ p
+
+
+def flip_enh4_factors(first: Tensor4, third: Tensor4):
+    """``(P first)^{t1}`` and ``(third P)^{t1}`` through the permutation matrix."""
+    p = permutation(first.field, first.n)
+    return (p @ first).t1(), (third @ p).t1()
+
+
+def flip_enh5_factors(first: Tensor4, last: Tensor4):
+    """``(first P)^{t2}`` and ``(P last)^{t2}`` through the permutation matrix."""
+    p = permutation(first.field, first.n)
+    return (first @ p).t2(), (p @ last).t2()
+
+
+def general_reduce(num: _Poly, den: _Poly) -> tuple[_Poly, _Poly]:
+    """``scalars._reduce`` through its general steps, for a one-term den too."""
+    if num.is_zero():
+        return num, _Poly.const(den.nv, (1, 0))
+    shift = tuple(map(min, num.min_exps(), den.min_exps()))
+    num = num.shifted_down(shift)
+    den = den.shifted_down(shift)
+    g = num.content()
+    if g != 1:
+        g = math.gcd(g, den.content())
+        if g != 1:
+            num = num.divide(g)
+            den = den.divide(g)
+    if len(num.terms) == len(den.terms) and len(den.terms) > 1:
+        collapsed = _monomial_quotient(num, den)
+        if collapsed is not None:
+            num, den = collapsed
+    lead = den.terms[max(den.terms)]
+    if lead[0] < 0 or (not lead[0] and lead[1] < 0):
+        num = num.neg()
+        den = den.neg()
+    return num, den
+
+
+def use_decision_references(monkeypatch):
+    """Route the four exact decision shortcuts through the references above."""
+    from ybtk import rmatrix, scalars
+
+    monkeypatch.setattr(rmatrix, "check_qyb", flip_check_qyb)
+    monkeypatch.setattr(rmatrix, "_braid_relations", each_braid_relation)
+    monkeypatch.setattr(rmatrix, "braid_forms", flip_braid_forms)
+    monkeypatch.setattr(rmatrix, "_enh4_factors", flip_enh4_factors)
+    monkeypatch.setattr(rmatrix, "_enh5_factors", flip_enh5_factors)
+    monkeypatch.setattr(scalars, "_reduce", general_reduce)
 
 
 def use_fresh_parsers(monkeypatch):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,7 @@ from ybtk import cli, scalars, tensors
 from ybtk.cli import MatrixFile, main, read_matrix, write_matrix
 from ybtk.errors import MatrixFileError, ToolkitError
 from ybtk.rmatrix import enhance
-from ybtk.scalars import Field, FieldTag, exact_tag
+from ybtk.scalars import Field, FieldTag, exact_tag, float_tag
 from ybtk.tensors import Mat
 
 from helpers import (
@@ -23,6 +24,7 @@ from helpers import (
     perturbed,
     sl_n_entries,
     sl_n_r,
+    use_decision_references,
     use_dense_references,
     use_fresh_parsers,
 )
@@ -616,6 +618,63 @@ def test_decide_output_is_byte_stable_against_dense_references(tmp_path, capsys,
     assert any("QYB: FAIL" in o.out for cmd, _, _, o in fast if cmd == "check")
     use_dense_references(monkeypatch)
     assert outputs() == fast
+
+
+def test_decide_output_is_byte_stable_against_decision_references(tmp_path, capsys, monkeypatch):
+    """check / enhance / verify print what they printed with the flip as a
+    matrix, R13 as flip steps, both braid forms' relations run and the
+    general reduction for one-term denominators."""
+    runs = _decide_files(tmp_path)
+
+    def outputs():
+        out = []
+        for cmd, path in runs:
+            code = main([cmd, path])
+            out.append((cmd, path, code, capsys.readouterr()))
+        return out
+
+    fast = outputs()
+    for cmd in ("check", "enhance", "verify"):
+        assert {code for c, _, code, _ in fast if c == cmd} == {0, 1}, cmd
+    use_decision_references(monkeypatch)
+    assert outputs() == fast
+
+
+def _sl_file(tmp_path, n):
+    field = {"backend": "exact", "indeterminates": ["q"], "imaginary": False}
+    return write_json(tmp_path / ("sl%d.json" % n), {"n": n, "field": field, "entries": sl_n_entries(n)})
+
+
+def _alpha_line(text):
+    return next((l[len("alpha = "):] for l in text.splitlines() if l.startswith("alpha = ")), None)
+
+
+SL_AGREEING_POINTS = ([(3, q) for q in ("0.05", "0.1", "5", "7.5", "15", "30")]
+                      + [(4, q) for q in ("0.05", "0.1", "5", "7.5", "15")]
+                      + [(5, q) for q in ("0.05", "0.1", "5", "7.5")])
+
+
+@pytest.mark.parametrize("n,q", SL_AGREEING_POINTS)
+def test_float_check_agrees_with_exact_on_sl_n(tmp_path, capsys, n, q):
+    # alpha^2 = q^-2n is far below the absolute 1e-9 at q = 15 for sl_4
+    path = _sl_file(tmp_path, n)
+    assert main(["check", path, "--at", "q=" + q]) == 0
+    exact = Fraction(_alpha_line(capsys.readouterr().out))
+    assert exact == Fraction(q) ** -n
+    assert main(["check", path, "--at", "q=" + q, "--numeric"]) == 0
+    got = Field(float_tag()).parse(_alpha_line(capsys.readouterr().out))
+    assert abs(got - float(exact)) <= 1e-6 * float(exact)
+
+
+@pytest.mark.parametrize("n,q", [(4, "30"), (5, "15"), (5, "30")])
+def test_float_check_refuses_sl_n_where_vu_is_off_scalar(tmp_path, capsys, n, q):
+    # U and V come from the inverse of an ill-conditioned R^{t2}: VU's
+    # diagonal is off c by 9.5e-9 to 1.5e-5 relative
+    path = _sl_file(tmp_path, n)
+    assert main(["check", path, "--at", "q=" + q]) == 0
+    capsys.readouterr()
+    assert main(["check", path, "--at", "q=" + q, "--numeric"]) == 1
+    assert "VU is not a scalar multiple of the identity" in capsys.readouterr().out
 
 
 def test_numeric_binding_substitutes_each_stored_entry_once(tmp_path, capsys, monkeypatch):

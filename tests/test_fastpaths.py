@@ -4,29 +4,38 @@ The sparse ``Mat.compare`` (behind the Yang-Baxter comparisons of
 ``check_qyb`` and of the braid relation), the shortcuts of
 ``RatFun.__eq__`` and the sparse Gauss-Jordan of ``Mat.inverse`` must
 give what the dense code gives: the same verdicts, witnesses, details
-and printed entries.
+and printed entries.  So must the decision shortcuts: ``check_qyb`` on
+the braid form, the flip as an index map, and the one-pass reduction
+over a one-term denominator.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ybtk import rmatrix
 from ybtk.catalog import families, fixture
 from ybtk.errors import SingularMatrixError
-from ybtk.rmatrix import check_qyb, enhance, verify_pair, verify_quadruple
-from ybtk.scalars import Field, RatFun, _Poly, exact_tag
-from ybtk.tensors import Mat, yb_sides
+from ybtk.rmatrix import braid_forms, check_qyb, enhance, verify_pair, verify_quadruple
+from ybtk.scalars import Field, RatFun, _Poly, _reduce, exact_tag, float_tag
+from ybtk.tensors import Mat, Tensor4, yb_sides
 
 from helpers import (
     cross_multiply_eq,
     dense_inverse,
     entrywise_compare,
+    flip_braid_forms,
+    flip_check_qyb,
+    flip_enh4_factors,
+    flip_enh5_factors,
+    general_reduce,
     perturbed,
     sl_n_r,
     use_dense_references,
 )
 
 Q = Field(exact_tag("q"))
+C = Field(float_tag())
 
 CASES = {
     "family7": lambda: fixture(7).r,
@@ -195,3 +204,123 @@ def test_sparse_gauss_jordan_matches_dense(m):
     got = m.inverse()
     assert got.eq(want)
     assert got.format_rows() == want.format_rows()
+
+
+# ---------------------------------------------------------------------------
+# decision shortcuts: check_qyb on the braid form, the flip as an index map
+
+
+def _catalog_and_sl(ns=(3,)):
+    """Every catalog fixture, unbound (families 1, 3 and 8 fail the equation), and exact U_q(sl_n)."""
+    for fam in families():
+        for variant in fam.variants or (None,):
+            yield "family%d%s" % (fam.id, variant or ""), fixture(fam.id, variant=variant).r
+    for n in ns:
+        yield "sl%d" % n, sl_n_r(Q, n)
+
+
+def test_check_qyb_on_the_braid_form_matches_the_flip_sides():
+    outcomes = set()
+    for name, r in _catalog_and_sl():
+        for label, t in ((name, r), (name + "-changed", perturbed(r))):
+            got = check_qyb(t)
+            assert got == flip_check_qyb(t), label
+            outcomes.add(got.ok)
+    assert outcomes == {True, False}
+
+
+@st.composite
+def _changed_matrices(draw):
+    """A catalog solution or a random sparse exact matrix, with one entry changed."""
+    n = draw(st.sampled_from([2, 3]))
+    if n == 2 and draw(st.booleans()):
+        r = fixture(draw(st.sampled_from([2, 4, 7, 9]))).r
+        field, rows = r.field, r.mat.tolist()
+    elif draw(st.booleans()):
+        field, rows = Q, sl_n_r(Q, n).mat.tolist()
+    else:
+        field = Q
+        cells = st.tuples(st.integers(0, n ** 4 - 1), st.sampled_from(ENTRIES))
+        rows = Mat.zeros(Q, n * n, n * n).tolist()
+        for cell, text in draw(st.lists(cells, max_size=2 * n * n)):
+            rows[cell // (n * n)][cell % (n * n)] = Q.parse(text)
+    i, j = divmod(draw(st.integers(0, n ** 4 - 1)), n * n)
+    texts = ENTRIES if "q" in field.tag.indeterminates else ("1", "-1", "2", "1/2")
+    rows[i][j] = rows[i][j] + field.parse(draw(st.sampled_from(texts)))
+    return Tensor4(n, Mat.from_rows(field, rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_changed_matrices())
+def test_check_qyb_matches_the_flip_sides_on_changed_matrices(r):
+    assert check_qyb(r) == flip_check_qyb(r)
+
+
+def _float_copy(r):
+    point = {name: complex(1.3 - 0.4 * k, 0.2 + 0.1 * k)
+             for k, name in enumerate(r.field.tag.indeterminates)}
+    return Tensor4(r.n, r.mat.evaluate(point, C))
+
+
+def _same_operands(got, want, label):
+    for a, b in zip(got, want):
+        assert a.mat.tolist() == b.mat.tolist(), label
+        assert a.mat.format_rows() == b.mat.format_rows(), label
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_index_map_operands_equal_the_permutation_products(backend):
+    for name, r in _catalog_and_sl((3, 4)):
+        if backend == "float":
+            r = _float_copy(r)
+        pr, rp = braid_forms(r)
+        _same_operands((pr, rp), flip_braid_forms(r), name)
+        for first, other in ((pr, r), (r, rp)):
+            _same_operands(rmatrix._enh4_factors(first, other), flip_enh4_factors(first, other), name)
+            _same_operands(rmatrix._enh5_factors(first, other), flip_enh5_factors(first, other), name)
+
+
+# ---------------------------------------------------------------------------
+# one-pass reduction over a one-term denominator
+
+
+_coeffs = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(any)
+
+
+@st.composite
+def _one_term_quotients(draw):
+    """(num, den) as a product or sum hands them to ``_reduce``: den one term."""
+    nv = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * nv)
+    terms = draw(st.dictionaries(exps, _coeffs, max_size=4))
+    # a leading den coefficient that is real, negative, imaginary or negative imaginary
+    dr, di = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 2), (0, -3)]))
+    k = draw(st.integers(1, 6))
+    # a common content k, sometimes shared by num only
+    num_k = k if draw(st.booleans()) else 1
+    den_k = draw(st.sampled_from([1, k]))
+    num = _Poly(nv, {m: (re * num_k, im * num_k) for m, (re, im) in terms.items()})
+    den = _Poly(nv, {draw(exps): (dr * den_k * draw(st.integers(1, 3)), di * den_k)})
+    return num, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_term_quotients())
+def test_one_term_reduction_matches_the_general_steps(pair):
+    num, den = pair
+    got, want = _reduce(num, den), general_reduce(num, den)
+    assert got[0].terms == want[0].terms
+    assert got[1].terms == want[1].terms
+
+
+def test_one_term_reduction_cases():
+    cases = [
+        (_Poly(1, {}), _Poly(1, {(2,): (-3, 0)})),                          # zero numerator
+        (_Poly(1, {(3,): (2, 4), (5,): (6, 0)}), _Poly(1, {(2,): (-2, 0)})),  # shift 2, content 2, sign
+        (_Poly(2, {(0, 1): (1, 0)}), _Poly(2, {(0, 0): (0, -1)})),          # negative imaginary lead
+        (_Poly(2, {(1, 2): (3, 3)}), _Poly(2, {(2, 1): (0, 3)})),           # shift (1, 1), content 3
+        (_Poly(3, {(0, 0, 0): (1, 1)}), _Poly(3, {(0, 0, 0): (1, 0)})),     # nothing to do
+    ]
+    for num, den in cases:
+        got, want = _reduce(num, den), general_reduce(num, den)
+        assert (got[0].terms, got[1].terms) == (want[0].terms, want[1].terms)

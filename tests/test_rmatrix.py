@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ybtk import rmatrix
+from ybtk import rmatrix, tensors
 from ybtk.catalog import fixture
 from ybtk.errors import (
     NoMonomialRootError,
@@ -211,6 +211,24 @@ def test_enhancement_family1_needs_unit_q():
     assert out.alpha_sq is None
 
 
+def _float_mat(rows):
+    return Mat.from_rows(C, [[complex(x) for x in row] for row in rows])
+
+
+def test_float_scalar_test_reads_vu_in_its_own_magnitude():
+    # VU = 1e-10 I is below the absolute 1e-9 but far above its round-off
+    v, u = _float_mat([[1e-5, 0], [0, 1e-5]]), _float_mat([[1e-5, 0], [0, 1e-5]])
+    assert rmatrix._scalar_multiple_of_identity(v @ u, v, u) == pytest.approx(1e-10)
+    # a 1e-3 relative off-diagonal entry on a VU of magnitude 1e-10, which
+    # an absolute or a max(1, |A|, |B|)-scaled test would let through
+    v = _float_mat([[1e-5, 1e-8], [0, 1e-5]])
+    assert rmatrix._scalar_multiple_of_identity(v @ u, v, u) is None
+    # terms that cancel to round-off leave no nonzero scalar
+    v, u = _float_mat([[1, 1], [1, 1]]), _float_mat([[1, -1], [-1, 1]])
+    vu = v @ u
+    assert rmatrix._scalar_multiple_of_identity(vu + _float_mat([[1e-17, 0], [0, 1e-17]]), v, u) is None
+
+
 def test_enhancement_not_biinvertible_is_a_value():
     out = enhancement_test(fixture(5).r)
     assert not out.biinvertible and out.alpha_sq is None
@@ -302,12 +320,29 @@ def counting(monkeypatch, owner, name):
     return calls
 
 
-def test_exact_enhance_runs_the_braid_relation_once_per_braid_form(monkeypatch):
+def test_exact_enhance_runs_the_braid_relation_once(monkeypatch):
+    # RP = P (PR) P, so the relation of PR answers for RP as well
     calls = counting(monkeypatch, rmatrix, "_yb3")
     for label, r in enhanceable_inputs():
         calls.clear()
         enhance(r)
-        assert len(calls) == 2, label
+        assert len(calls) == 1, label
+
+
+def test_decisions_multiply_by_no_permutation_matrix(monkeypatch):
+    def no_flip(*_):
+        raise AssertionError("a permutation matrix was built")
+
+    monkeypatch.setattr(tensors, "permutation", no_flip)
+    steps = []
+    apply_slots = Mat.apply_slots
+    monkeypatch.setattr(Mat, "apply_slots", lambda self, n, s: steps.append(len(s)) or apply_slots(self, n, s))
+    r = sl_n_r(Field(exact_tag("q")), 3)
+    assert check_qyb(r).ok
+    # B23 B12 B23 and B12 B23 B12: three steps a side, no flip step
+    assert steps == [3, 3]
+    result = enhance(r)
+    assert verify_pair(result.pairs[0].s, result.pairs[0].mu).ok
 
 
 def test_float_enhance_checks_each_quadruple_braid_relation(monkeypatch):
