@@ -195,7 +195,7 @@ def read_matrix(path: str) -> MatrixFile:
     # text is parsed once, in file order, so the first bad one is named
     field = Field(tag)
     values = mf._values
-    for text in mf.entries + (mf.mu or []) + [x for x in (alpha, beta) if x]:
+    for text in mf.entries + (mf.mu or []) + [x for x in (alpha, beta) if x is not None]:
         if text in values:
             continue
         try:

@@ -193,10 +193,10 @@ def turaev(inp: InvariantInput, word: BraidWord,
     # Tr(rho mu^(x m)) = Tr((mu^(x m) rho)^T): mu^T on every slot of the
     # identity, then the transposed letters; mu first keeps the exact
     # state as sparse as mu^(x m), and the float trace folds a diagonal
-    # mu^T into its starting columns
+    # mu^T into its starting columns; the letters check the strand cap first
+    letters = _transposed_letters(inp.s, word, max_strands)
     mu_t = inp.mu.transpose()
-    steps = [(mu_t, j) for j in range(word.strands)]
-    steps += _transposed_letters(inp.s, word, max_strands)
+    steps = [(mu_t, j) for j in range(word.strands)] + letters
     raw = slot_trace(inp.field, inp.n, word.strands, steps)
     e = word.writhe()
     norm = scalar_invert(inp.alpha) ** e if e >= 0 else inp.alpha ** (-e)
@@ -322,22 +322,15 @@ def _typed_layers(layers):
 
 
 def _piece_matrix(piece: str, inp: InvariantInput) -> Mat:
-    f = inp.field
     n = inp.n
-    if piece == "x+":
-        return inp.s.mat
-    if piece == "x-":
-        return inp.s.inverse().mat
-    if piece == "cup":
-        return Mat.build(f, n * n, 1, lambda i, _: f.one if i // n == i % n else f.zero)
-    if piece == "cap":
-        return Mat.build(f, 1, n * n, lambda _, j: f.one if j // n == j % n else f.zero)
-    if piece == "cup-":
-        mu_inv = inp.mu.inverse()
-        return Mat.build(f, n * n, 1, lambda i, _: mu_inv.at(i % n, i // n))
-    if piece == "cap-":
-        return Mat.build(f, 1, n * n, lambda _, j: inp.mu.at(j % n, j // n))
-    raise ValueError(piece)  # pragma: no cover - guarded by TangleWord validation
+    if piece in ("x+", "x-"):
+        return inp.s.mat if piece == "x+" else inp.s.inverse().mat
+    if piece in ("cup", "cap"):
+        m = Mat.identity(inp.field, n)
+    else:  # (mu^-1)^T for cup-, mu^T for cap-
+        m = (inp.mu.inverse() if piece == "cup-" else inp.mu).transpose()
+    # a cup is an n x n matrix read as one column, a cap as one row
+    return m.reshape(n * n, 1) if piece.startswith("cup") else m.reshape(1, n * n)
 
 
 def tangle_eval(word: TangleWord, inp: InvariantInput) -> Mat:

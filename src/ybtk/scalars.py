@@ -50,7 +50,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Mapping, Union
 
-from .errors import ScalarSyntaxError, UnknownSymbolError
+from .errors import BadBindingError, ScalarSyntaxError, UnknownSymbolError
 
 __all__ = [
     "FieldTag",
@@ -628,12 +628,19 @@ def monomial_sqrt(s: Scalar, imaginary: bool = False):
     return RatFun(s.syms, num, den)
 
 
+# the largest exponent of a bound symbol that ``substitute`` forms: the
+# exact 2^(10^30) would never finish, and no catalog entry comes near
+MAX_BOUND_EXPONENT = 1 << 16
+
+
 def substitute(s: RatFun, bindings: Mapping[str, Scalar], target: Field) -> Scalar:
     """Map an exact scalar into ``target``, sending symbols through ``bindings``.
 
     Symbols missing from ``bindings`` must be indeterminates of the
     target field and stay symbolic.  Raises ZeroDivisionError when the
-    denominator vanishes at the binding point.
+    denominator vanishes at the binding point, and BadBindingError when a
+    bound symbol's exponent exceeds MAX_BOUND_EXPONENT or its power
+    overflows a float.
     """
     values = {}
     for name in s.syms:
@@ -642,13 +649,22 @@ def substitute(s: RatFun, bindings: Mapping[str, Scalar], target: Field) -> Scal
         else:
             values[name] = target.sym(name)
 
+    def power(name: str, e: int) -> Scalar:
+        # a bound symbol's power is one number, formed in full
+        if name in bindings and abs(e) > MAX_BOUND_EXPONENT:
+            raise BadBindingError("%s^%d: exponent of a bound symbol above %d" % (name, e, MAX_BOUND_EXPONENT))
+        try:
+            return values[name] ** e
+        except OverflowError:
+            raise BadBindingError("%s^%d overflows a float at the binding point" % (name, e)) from None
+
     def poly_value(p: _Poly) -> Scalar:
         acc = target.zero
         for mono, (re, im) in p.terms.items():
             c = target.from_gauss(re, im)
             for name, e in zip(s.syms, mono):
                 if e:
-                    c = c * values[name] ** e
+                    c = c * power(name, e)
             acc = acc + c
         return acc
 

@@ -27,6 +27,10 @@ Two primitives carry all slot arithmetic, on both backends:
   ``transpose``, through one integer index array.  The transposes, the
   flip, ``R13`` and the braidings are such permutations.
 
+A cup is an ``n x n`` matrix read row-major as one ``n^2 x 1`` column
+and a cap as one ``1 x n^2`` row (``Mat.reshape``); the second partial
+trace is one cap step.
+
 ``slot_trace(field, n, m, steps)`` is the trace of the product a step
 list builds on the identity of ``(C^n)^(x m)``, the Markov trace behind
 ``turaev``.  The exact backend sums the diagonal of the product.  The
@@ -302,6 +306,19 @@ class Mat:
                 out.setdefault(r, {})[c] = x
         return Mat(self.field, rows, cols, out)
 
+    def reshape(self, rows: int, cols: int) -> "Mat":
+        """The entries in row-major order, read as a ``rows x cols`` matrix."""
+        if rows * cols != self.rows * self.cols:
+            raise ValueError("reshape must keep the entry count")
+        if not self.field.exact:
+            return Mat(self.field, rows, cols, self._a.reshape(rows, cols))
+        out: dict = {}
+        for i, row in self._a.items():
+            for j, x in row.items():
+                r, c = divmod(i * self.cols + j, cols)
+                out.setdefault(r, {})[c] = x
+        return Mat(self.field, rows, cols, out)
+
     # -- comparisons ----------------------------------------------------
 
     def max_abs(self) -> float:
@@ -361,8 +378,9 @@ class Mat:
         pivot (abstract fields have no magnitudes), and a row update
         touches only the nonzero columns of the pivot row.  Float backend:
         LAPACK with magnitude pivoting, then a residual check.  The
-        inverse is formed on the first call and kept; a singular matrix
-        raises on every call.
+        inverse is formed on the first call and kept, so an invertibility
+        check is this call and costs nothing more when the inverse is
+        needed later; a singular matrix raises on every call.
         """
         if self._inv is None:
             self._inv = self._invert()
@@ -383,28 +401,14 @@ class Mat:
             return Mat(self.field, n, n, inv)
         # each row of an invertible matrix's inverse is nonzero
         return Mat(self.field, n, n, {i: {j - n: x for j, x in row.items() if j >= n}
-                                      for i, row in enumerate(self._gauss_jordan(True))})
+                                      for i, row in enumerate(self._gauss_jordan())})
 
-    def check_invertible(self) -> None:
-        """Raise SingularMatrixError exactly when ``inverse`` would, without forming it."""
-        if not self.field.exact or self._inv is not None:
-            self.inverse()
-            return
-        if not self.square:
-            raise SingularMatrixError("only square matrices are invertible")
-        self._gauss_jordan(False)
-
-    def _gauss_jordan(self, augment: bool) -> list[dict]:
-        """Exact elimination of the sparse rows, with the identity appended when ``augment``.
-
-        Without it only the rows below each pivot are cleared, which is
-        enough to find a zero pivot column.
-        """
+    def _gauss_jordan(self) -> list[dict]:
+        """Exact elimination of the sparse rows with the identity appended."""
         n, zero = self.rows, self.field.zero
         aug = [dict(self._a.get(i, _NO_ROW)) for i in range(n)]
-        if augment:
-            for i, row in enumerate(aug):
-                row[n + i] = self.field.one
+        for i, row in enumerate(aug):
+            row[n + i] = self.field.one
         for col in range(n):
             pivot_row = next((r for r in range(col, n) if col in aug[r]), None)
             if pivot_row is None:
@@ -415,7 +419,7 @@ class Mat:
             # a column missing from the pivot row is left unchanged
             for j, x in prow.items():
                 prow[j] = x * inv_p
-            for r in range(n) if augment else range(col + 1, n):
+            for r in range(n):
                 row = aug[r]
                 f = row.get(col)
                 if r == col or f is None:
@@ -784,23 +788,12 @@ class Tensor4:
     def t2(self) -> "Tensor4":
         return self.permute_axes((0, 3, 2, 1))
 
-    def transpose(self, kind: str) -> "Tensor4":
-        if kind == "t1":
-            return self.t1()
-        if kind == "t2":
-            return self.t2()
-        raise ValueError("transpose kind must be 't1' or 't2'")
-
     def partial_trace2(self) -> Mat:
+        """A cap step on rows ``(a, b, d)``, column ``c``: each entry sums over ascending ``d``."""
         n = self.n
-
-        def tr(a, c):
-            acc = self.field.zero
-            for d in range(n):
-                acc = acc + self.entry(a, d, c, d)
-            return acc
-
-        return Mat.build(self.field, n, n, tr)
+        rows = self.mat.permute_axes(n, (0, 1, 3, 2)).reshape(n ** 3, n)
+        cap = Mat.identity(self.field, n).reshape(1, n * n)
+        return rows.apply_slots(n, [(cap, 1)])
 
     # -- algebra ------------------------------------------------------------
 

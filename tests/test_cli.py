@@ -363,6 +363,33 @@ def test_verify_zero_alpha_or_beta_exits_2(tmp_path, capsys, backend, zero):
     assert err == "input error: alpha and beta must be nonzero"
 
 
+@pytest.mark.parametrize("empty", ["alpha", "beta"])
+def test_verify_empty_alpha_or_beta_exits_2(tmp_path, capsys, empty):
+    path = write_json(tmp_path / "empty.json", dict(TRIVIAL, **{empty: ""}))
+    assert main(["verify", path]) == 2
+    assert _one_line_input_error(capsys).strip() == "input error: bad scalar '': empty scalar text"
+
+
+HUGE = "999999999999999999999999999999"
+
+
+@pytest.mark.parametrize("exponent,numeric,message", [
+    (HUGE, True, "q^%s: exponent of a bound symbol above %d" % (HUGE, scalars.MAX_BOUND_EXPONENT)),
+    (HUGE, False, "q^%s: exponent of a bound symbol above %d" % (HUGE, scalars.MAX_BOUND_EXPONENT)),
+    ("5000", True, "q^5000 overflows a float at the binding point"),
+])
+def test_huge_exponent_at_a_binding_exits_2(tmp_path, capsys, exponent, numeric, message):
+    field = {"backend": "exact", "indeterminates": ["p", "q"], "imaginary": False}
+    path = write_json(tmp_path / "huge.json", dict(TRIVIAL, field=field, alpha="1/q^" + exponent))
+    args = ["verify", path, "--at", "p=1", "--at", "q=2"] + (["--numeric"] if numeric else [])
+    start = time.perf_counter()
+    assert main(args) == 2
+    assert time.perf_counter() - start < 5.0
+    assert _one_line_input_error(capsys).strip() == "input error: " + message
+    # unbound, the exponent stays symbolic
+    assert main(["verify", path, "--at", "p=1"]) == 1
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 @pytest.mark.parametrize("numeric", [False, True])
 def test_bad_tolerance_option_exits_2(tmp_path, trivial_file, capsys, value, numeric):
@@ -447,6 +474,15 @@ def test_invariant_strand_cap_exit3(trivial_file, capsys):
         main(["invariant", trivial_file, "--braid", "strands=5", "--max-strands", "5"])
         == 0
     )
+
+
+@pytest.mark.parametrize("strands", ["99999999", "9" * 30])
+def test_huge_strand_count_exits_3_before_any_work(trivial_file, capsys, strands):
+    start = time.perf_counter()
+    assert main(["invariant", trivial_file, "--braid", "strands=%s s1" % strands]) == 3
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("resource cap: braid on %s strands" % strands)
 
 
 def test_invariant_strand_cap_counts_dimension_exit3(tmp_path, capsys):

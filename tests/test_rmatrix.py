@@ -356,8 +356,9 @@ def test_float_enhance_checks_each_quadruple_braid_relation(monkeypatch):
 
 
 def test_enhance_forms_two_full_size_inverses(monkeypatch):
-    # the second transpose's inverse, and one of R shared by all four checks
-    calls = counting(monkeypatch, Mat, "inverse")
+    # R's, formed by the biinvertibility check and shared by all four
+    # checks, and the second transpose's: two eliminations
+    calls = counting(monkeypatch, Mat, "_gauss_jordan")
     r = sl_n_r(Field(exact_tag("q")), 3)
     enhance(r)
     assert sum(1 for (m,) in calls if m.rows == 9) == 2
