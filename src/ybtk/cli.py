@@ -497,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=DEFAULT_MAX_STRANDS,
         help="size cap for the braid representation: its n^m x n^m state may hold"
-        " at most 4^N entries, i.e. N strands at n = 2 (default %d)" % DEFAULT_MAX_STRANDS,
+        " at most 4^N entries, i.e. N strands at n = 2, and n = 1 counts like n = 2"
+        " (default %d)" % DEFAULT_MAX_STRANDS,
     )
     p.set_defaults(func=_cmd_invariant)
 

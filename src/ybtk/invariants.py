@@ -144,8 +144,9 @@ def _transposed_letters(s: Tensor4, word: BraidWord, max_strands: int) -> list:
     association decides how far rational functions swell.
     """
     n, m = s.n, word.strands
-    # n^(2m) > 4^max_strands, in logarithms so that no huge power is formed
-    if m * math.log2(n) > max_strands:
+    # n^(2m) > 4^max_strands, in logarithms so that no huge power is formed;
+    # n = 1 counts like n = 2, so that the m steps are bounded too
+    if m * max(1.0, math.log2(n)) > max_strands:
         raise StrandLimitError(
             "braid on %d strands at n = %d exceeds the cap of %d strands"
             " (an n^m x n^m state over 4^%d entries)" % (m, n, max_strands, max_strands)

@@ -21,10 +21,14 @@ Given an ``n^2 x n^2`` matrix ``R``:
   ``Tr2(S^{±1}(mu (x) mu)) = alpha^{±1} beta mu``).
 * ``verify_pair`` checks the duality-functor axioms (braid relation,
   commutation, ``Tr2(S^{±1}(I (x) mu)) = I``, and the two transpose
-  duality identities, which are mutual transposes of one another).
+  duality identities ENH4 and ENH5).  ENH5 is read off ENH4's products:
+  ``(X^{t1})^T = X^{t2}`` and ``(I (x) mu)^T = I (x) mu^T``, so each ENH5
+  product is an ENH4 product transposed.
 
 The verifiers accept any invertible input and report per-axiom results;
-only ``enhance`` insists on biinvertibility.
+only ``enhance`` insists on biinvertibility.  Every axiom product is one
+slot-kernel chain on the identity (``_product``): ``mu`` acts on its slot
+as a kernel step, with no Kronecker embedding.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .scalars import Scalar, monomial_sqrt, scalar_invert
-from .tensors import Mat, Tensor4, embed
+from .tensors import Mat, Tensor4
 
 __all__ = [
     "AxiomResult",
@@ -407,16 +411,9 @@ def _quadruple_report(
     s: Tensor4, mu: Mat, alpha: Scalar, beta: Scalar, s_inv: Tensor4, yb3: AxiomResult
 ) -> EnhancementReport:
     """``verify_quadruple`` given S^-1 and the braid relation's result."""
-    f = s.field
-    n = s.n
     report = EnhancementReport()
     report.results["YB3"] = yb3
-
-    mumu = embed(mu, "both")
-    s_mumu = s @ mumu
-    report.results["ENH1"] = _compare(
-        s_mumu.mat, (mumu @ s).mat, "S does not commute with mu(x)mu"
-    )
+    report.results["ENH1"], s_mumu = _enh1(s, mu)
 
     inv_alpha = scalar_invert(alpha)
     plus = _compare(
@@ -425,7 +422,7 @@ def _quadruple_report(
         "positive-sign trace normalisation",
     )
     minus = _compare(
-        (s_inv @ mumu).partial_trace2(),
+        _product(s, (s_inv.mat, 0), (mu, 0), (mu, 1)).partial_trace2(),
         mu.scale(inv_alpha * beta),
         "negative-sign trace normalisation",
     )
@@ -435,15 +432,7 @@ def _quadruple_report(
         mu.inverse()
     except SingularMatrixError:
         return report
-    eye = Mat.identity(f, n)
-    mu2 = embed(mu, "slot2")
-    plus3 = _compare(
-        (s @ mu2).partial_trace2(), eye.scale(alpha * beta), "positive sign"
-    )
-    minus3 = _compare(
-        (s_inv @ mu2).partial_trace2(), eye.scale(inv_alpha * beta), "negative sign"
-    )
-    report.results["ENH3"] = _both(plus3, minus3)
+    report.results["ENH3"] = _enh3(s, mu, s_inv, alpha * beta, inv_alpha * beta)
     report.agreements["ENH2~ENH3"] = (
         report.results["ENH2"].ok == report.results["ENH3"].ok
     )
@@ -456,61 +445,71 @@ def verify_pair(s: Tensor4, mu: Mat) -> EnhancementReport:
 
 
 def _pair_report(s: Tensor4, mu: Mat, s_inv: Tensor4, yb3: AxiomResult) -> EnhancementReport:
-    """``verify_pair`` given S^-1 and the braid relation's result."""
+    """``verify_pair`` given S^-1 and the braid relation's result.
+
+    ENH5 is ENH4 transposed, since (X^{t1})^T = X^{t2} and (I (x) mu)^T = I (x) mu^T.
+    """
     f = s.field
-    n = s.n
-    mu_inv = mu.inverse()
     report = EnhancementReport()
     report.results["YB3"] = yb3
-
-    mumu = embed(mu, "both")
-    report.results["ENH1"] = _compare(
-        (s @ mumu).mat, (mumu @ s).mat, "S does not commute with mu(x)mu"
-    )
-
-    eye = Mat.identity(f, n)
-    mu2 = embed(mu, "slot2")
-    plus3 = _compare((s @ mu2).partial_trace2(), eye, "positive sign")
-    minus3 = _compare((s_inv @ mu2).partial_trace2(), eye, "negative sign")
-    report.results["ENH3"] = _both(plus3, minus3)
-
-    eye2 = Mat.identity(f, n * n)
-    mu_slot2 = embed(mu, "slot2").mat
-    mu_inv_slot2 = embed(mu_inv, "slot2").mat
-
-    def enh4(first: Tensor4, third: Tensor4) -> AxiomResult:
-        pf, tp = _enh4_factors(first, third)
-        return _compare(pf.mat @ mu_slot2 @ tp.mat @ mu_inv_slot2, eye2)
-
-    report.results["ENH4"] = _both(enh4(s_inv, s), enh4(s, s_inv))
-
-    mut = mu.transpose()
-    mut_inv = mu_inv.transpose()
-    mut_slot2 = embed(mut, "slot2").mat
-    mut_inv_slot2 = embed(mut_inv, "slot2").mat
-
-    def enh5(first: Tensor4, last: Tensor4) -> AxiomResult:
-        fp, pl = _enh5_factors(first, last)
-        return _compare(mut_inv_slot2 @ fp.mat @ mut_slot2 @ pl.mat, eye2)
-
-    # transpose-dual of the previous axiom: the two S factors carry
-    # opposite signs here as well
-    report.results["ENH5"] = _both(enh5(s, s_inv), enh5(s_inv, s))
-
+    report.results["ENH1"] = _enh1(s, mu)[0]
+    report.results["ENH3"] = _enh3(s, mu, s_inv, f.one, f.one)
+    eye2 = Mat.identity(f, s.n * s.n)
+    for name, products in zip(("ENH4", "ENH5"), _enh4_enh5_products(s, mu, s_inv)):
+        report.results[name] = _both(*[_compare(x, eye2) for x in products])
     report.agreements["ENH4~ENH5"] = (
         report.results["ENH4"].ok == report.results["ENH5"].ok
     )
     return report
 
 
+def _product(s: Tensor4, *factors) -> Tensor4:
+    """The product of slot-local factors ``(op, first)``, left to right, on n^2.
+
+    One kernel chain on the identity: the rightmost factor is the first step.
+    """
+    eye = Mat.identity(s.field, s.n * s.n)
+    return Tensor4(s.n, eye.apply_slots(s.n, factors[::-1]))
+
+
+def _enh1(s: Tensor4, mu: Mat) -> tuple[AxiomResult, Tensor4]:
+    """ENH1, ``S (mu (x) mu) = (mu (x) mu) S``, and its left side."""
+    s_mumu = _product(s, (s.mat, 0), (mu, 0), (mu, 1))
+    mumu_s = _product(s, (mu, 0), (mu, 1), (s.mat, 0))
+    return _compare(s_mumu.mat, mumu_s.mat, "S does not commute with mu(x)mu"), s_mumu
+
+
+def _enh3(s: Tensor4, mu: Mat, s_inv: Tensor4, plus: Scalar, minus: Scalar) -> AxiomResult:
+    """ENH3, ``Tr2(S^{±1} (I (x) mu)) = plus I`` and ``minus I``."""
+    eye = Mat.identity(s.field, s.n)
+    return _both(
+        _compare(_product(s, (s.mat, 0), (mu, 1)).partial_trace2(), eye.scale(plus), "positive sign"),
+        _compare(_product(s, (s_inv.mat, 0), (mu, 1)).partial_trace2(), eye.scale(minus),
+                 "negative sign"),
+    )
+
+
+def _enh4_enh5_products(s: Tensor4, mu: Mat, s_inv: Tensor4) -> tuple[list[Mat], list[Mat]]:
+    """ENH4's two products, S^-1 on the left first, and ENH5's, their transposes.
+
+    ENH4 on (first, third) is ``(P first)^{t1} (I (x) mu) (third P)^{t1}
+    (I (x) mu^-1)``; its transpose is ENH5 on (third, first),
+    ``(I (x) mu^-T) (third P)^{t2} (I (x) mu^T) (P first)^{t2}``, so the
+    two axioms carry their signs in the same order.
+    """
+    mu_inv = mu.inverse()
+
+    def enh4(first: Tensor4, third: Tensor4) -> Mat:
+        pf, tp = _enh4_factors(first, third)
+        return _product(s, (pf.mat, 0), (mu, 1), (tp.mat, 0), (mu_inv, 1)).mat
+
+    products = [enh4(s_inv, s), enh4(s, s_inv)]
+    return products, [x.transpose() for x in products]
+
+
 def _enh4_factors(first: Tensor4, third: Tensor4) -> tuple[Tensor4, Tensor4]:
     """``(P first)^{t1}`` and ``(third P)^{t1}``, each one index map."""
     return first.permute_axes((2, 0, 1, 3)), third.permute_axes((3, 1, 0, 2))
-
-
-def _enh5_factors(first: Tensor4, last: Tensor4) -> tuple[Tensor4, Tensor4]:
-    """``(first P)^{t2}`` and ``(P last)^{t2}``, each one index map."""
-    return first.permute_axes((0, 2, 3, 1)), last.permute_axes((1, 3, 2, 0))
 
 
 def max_residual(*results: AxiomResult) -> float | None:
@@ -538,15 +537,13 @@ def slot_identities(r: Tensor4) -> dict[str, AxiomResult]:
     These hold when R solves the quantum Yang-Baxter equation;
     biinvertibility alone is not enough.
     """
-    rt = second_inverse(r)
+    rt = second_inverse(r).mat
     u, v = compute_uv(r)
-    u1, u2 = embed(u, "slot1"), embed(u, "slot2")
-    v1, v2 = embed(v, "slot1"), embed(v, "slot2")
     return {
-        "V2 = R V2 R~": _compare(v2.mat, (r @ v2 @ rt).mat),
-        "V1 = R~ V1 R": _compare(v1.mat, (rt @ v1 @ r).mat),
-        "U1 = R U1 R~": _compare(u1.mat, (r @ u1 @ rt).mat),
-        "U2 = R~ U2 R": _compare(u2.mat, (rt @ u2 @ r).mat),
+        "V2 = R V2 R~": _compare(_product(r, (v, 1)).mat, _product(r, (r.mat, 0), (v, 1), (rt, 0)).mat),
+        "V1 = R~ V1 R": _compare(_product(r, (v, 0)).mat, _product(r, (rt, 0), (v, 0), (r.mat, 0)).mat),
+        "U1 = R U1 R~": _compare(_product(r, (u, 0)).mat, _product(r, (r.mat, 0), (u, 0), (rt, 0)).mat),
+        "U2 = R~ U2 R": _compare(_product(r, (u, 1)).mat, _product(r, (rt, 0), (u, 1), (r.mat, 0)).mat),
     }
 
 
@@ -577,18 +574,16 @@ def trace_identities(r: Tensor4) -> dict[str, AxiomResult]:
     """
     u, v = compute_uv(r)
     pr, rp = braid_forms(r)
-    u2 = embed(u, "slot2")
-    v2 = embed(v, "slot2")
     eye = Mat.identity(r.field, r.n)
+
+    def tr2(first: Tensor4, second: Mat) -> Mat:
+        return _product(r, (first.mat, 0), (second, 1)).partial_trace2()
+
     return {
-        "Tr2(PR U2) = I": _compare((pr @ u2).partial_trace2(), eye),
-        "Tr2(RP V2) = I": _compare((rp @ v2).partial_trace2(), eye),
-        "Tr2((PR)^-1 U2) = UV": _compare(
-            (pr.inverse() @ u2).partial_trace2(), u @ v
-        ),
-        "Tr2((RP)^-1 V2) = VU": _compare(
-            (rp.inverse() @ v2).partial_trace2(), v @ u
-        ),
+        "Tr2(PR U2) = I": _compare(tr2(pr, u), eye),
+        "Tr2(RP V2) = I": _compare(tr2(rp, v), eye),
+        "Tr2((PR)^-1 U2) = UV": _compare(tr2(pr.inverse(), u), u @ v),
+        "Tr2((RP)^-1 V2) = VU": _compare(tr2(rp.inverse(), v), v @ u),
     }
 
 

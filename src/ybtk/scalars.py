@@ -160,22 +160,6 @@ class _Poly:
                         del t[m]
         return _Poly(self.nv, t)
 
-    def divide(self, g: int) -> "_Poly":
-        """Exact division by an integer that divides every coefficient part."""
-        return _Poly(self.nv, {m: (re // g, im // g) for m, (re, im) in self.terms.items()})
-
-    def min_exps(self) -> tuple:
-        return tuple(map(min, zip(*self.terms)))
-
-    def shifted_down(self, by: tuple) -> "_Poly":
-        if not any(by):
-            return self
-        return _Poly(self.nv, {tuple(map(sub, m, by)): c for m, c in self.terms.items()})
-
-    def content(self) -> int:
-        """The gcd of every real and imaginary coefficient part (0 for zero)."""
-        return math.gcd(*[x for c in self.terms.values() for x in c])
-
     def __eq__(self, other):
         return isinstance(other, _Poly) and self.terms == other.terms
 
@@ -380,50 +364,28 @@ def _reduce(num: _Poly, den: _Poly) -> tuple[_Poly, _Poly]:
     monomial multiple of the denominator (detected from the leading
     terms, verified exactly), which keeps matrix-elimination output from
     dragging redundant polynomial factors around without needing gcd.
+    That test and its result do not change under a common monomial or
+    integer factor, so it runs first.  Otherwise one pass divides by the
+    shift, the componentwise minimum of every monomial, and by g, the gcd
+    of every coefficient part, negative when den's leading coefficient
+    is, so the one division also fixes the sign.
     """
     if num.is_zero():
         return num, _Poly.const(den.nv, (1, 0))
-    if len(den.terms) == 1:
-        return _reduce_laurent(num, den)
-    low_n = num.min_exps()
-    low_d = den.min_exps()
-    shift = tuple(map(min, low_n, low_d))
-    num = num.shifted_down(shift)
-    den = den.shifted_down(shift)
-    g = num.content()
-    if g != 1:
-        g = math.gcd(g, den.content())
-        if g != 1:
-            num = num.divide(g)
-            den = den.divide(g)
-    if len(num.terms) == len(den.terms) and len(den.terms) > 1:
+    t, u = num.terms, den.terms
+    if len(t) == len(u) > 1:
         collapsed = _monomial_quotient(num, den)
         if collapsed is not None:
-            num, den = collapsed
-    lead = den.terms[max(den.terms)]
+            return collapsed
+    shift = tuple(map(min, *t, *u))
+    g = math.gcd(*[x for c in t.values() for x in c], *[x for c in u.values() for x in c])
+    lead = u[max(u)]
     if lead[0] < 0 or (not lead[0] and lead[1] < 0):
-        num = num.neg()
-        den = den.neg()
-    return num, den
-
-
-def _reduce_laurent(num: _Poly, den: _Poly) -> tuple[_Poly, _Poly]:
-    """``_reduce`` for a one-term den, in one pass over num's terms.
-
-    The shift is the componentwise minimum of den's monomial and num's,
-    and g the gcd of every coefficient part, negative when den's
-    coefficient is, so one division also fixes the sign.
-    """
-    t = num.terms
-    ((dm, (dr, di)),) = den.terms.items()
-    shift = tuple(map(min, dm, *t))
-    g = math.gcd(dr, di, *[x for c in t.values() for x in c])
-    if dr < 0 or (not dr and di < 0):
         g = -g
     elif g == 1 and not any(shift):
         return num, den
     return (_Poly(num.nv, {tuple(map(sub, m, shift)): (re // g, im // g) for m, (re, im) in t.items()}),
-            _Poly(num.nv, {tuple(map(sub, dm, shift)): (dr // g, di // g)}))
+            _Poly(num.nv, {tuple(map(sub, m, shift)): (re // g, im // g) for m, (re, im) in u.items()}))
 
 
 def _monomial_quotient(num: _Poly, den: _Poly):

@@ -21,7 +21,10 @@ Two primitives carry all slot arithmetic, on both backends:
   factors in their place, so cups (``a = 0``) and caps (``b = 0``) change
   the factor count.  Steps run in list order, each left-multiplying the
   state; a product ``L1 L2 ... Lk`` is the step list ``Lk, ..., L1``
-  applied to the identity.
+  applied to the identity.  The kernel also builds every axiom product
+  of the ``rmatrix`` verifiers, with ``mu`` a step on its own slot;
+  ``embed`` and the Kronecker product ``Mat.kron`` stay public, and no
+  check or invariant calls them.
 * ``Mat.permute_axes(n, perm)`` reads the row factors and then the
   column factors as tensor axes and permutes them like numpy's
   ``transpose``, through one integer index array.  The transposes, the

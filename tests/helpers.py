@@ -6,7 +6,7 @@ from fractions import Fraction
 from ybtk.errors import SingularMatrixError
 from ybtk.rmatrix import AxiomResult
 from ybtk.scalars import Field, _cmul, _format_poly, _monomial_quotient, _Poly, substitute
-from ybtk.tensors import Mat, Tensor4, permutation, yb_sides
+from ybtk.tensors import Mat, Tensor4, embed, permutation, yb_sides
 
 
 def rand_fraction(rng, lo=-5, hi=5):
@@ -221,7 +221,8 @@ def use_dense_references(monkeypatch):
 # ---------------------------------------------------------------------------
 # references for the exact decision shortcuts: the Yang-Baxter sides with
 # the flip as kernel steps, one braid-relation run per braid form, the flip
-# as a permutation matrix, and the general reduction for every denominator
+# as a permutation matrix, the axiom products as Kronecker lifts with ENH5
+# as its own chain, and the general reduction for every denominator
 
 
 def flip_check_qyb(r: Tensor4) -> AxiomResult:
@@ -262,19 +263,36 @@ def flip_enh5_factors(first: Tensor4, last: Tensor4):
     return (first @ p).t2(), (p @ last).t2()
 
 
+def _min_exps(p: _Poly) -> tuple:
+    return tuple(map(min, zip(*p.terms)))
+
+
+def _shifted_down(p: _Poly, by: tuple) -> _Poly:
+    return _Poly(p.nv, {tuple(e - b for e, b in zip(m, by)): c for m, c in p.terms.items()})
+
+
+def _content(p: _Poly) -> int:
+    return math.gcd(*[x for c in p.terms.values() for x in c])
+
+
+def _divide(p: _Poly, g: int) -> _Poly:
+    return _Poly(p.nv, {m: (re // g, im // g) for m, (re, im) in p.terms.items()})
+
+
 def general_reduce(num: _Poly, den: _Poly) -> tuple[_Poly, _Poly]:
-    """``scalars._reduce`` through its general steps, for a one-term den too."""
+    """``scalars._reduce`` as its separate general steps: shift, content,
+    monomial quotient, sign."""
     if num.is_zero():
         return num, _Poly.const(den.nv, (1, 0))
-    shift = tuple(map(min, num.min_exps(), den.min_exps()))
-    num = num.shifted_down(shift)
-    den = den.shifted_down(shift)
-    g = num.content()
+    shift = tuple(map(min, _min_exps(num), _min_exps(den)))
+    num = _shifted_down(num, shift)
+    den = _shifted_down(den, shift)
+    g = _content(num)
     if g != 1:
-        g = math.gcd(g, den.content())
+        g = math.gcd(g, _content(den))
         if g != 1:
-            num = num.divide(g)
-            den = den.divide(g)
+            num = _divide(num, g)
+            den = _divide(den, g)
     if len(num.terms) == len(den.terms) and len(den.terms) > 1:
         collapsed = _monomial_quotient(num, den)
         if collapsed is not None:
@@ -286,15 +304,55 @@ def general_reduce(num: _Poly, den: _Poly) -> tuple[_Poly, _Poly]:
     return num, den
 
 
+def kron_product(s: Tensor4, *factors) -> Tensor4:
+    """``rmatrix._product`` as the verifiers once built it: each factor
+    lifted to n^2 by ``embed``, ``(A, 0), (B, 1)`` lifted as one A (x) B,
+    and the lifts multiplied left to right."""
+    n, lifts, k = s.n, [], 0
+    while k < len(factors):
+        op, first = factors[k]
+        if op.rows == n * n:
+            lifts.append(Tensor4(n, op))
+        elif first == 0 and k + 1 < len(factors) and factors[k + 1][0].rows == n and factors[k + 1][1] == 1:
+            k += 1
+            lifts.append(Tensor4(n, op.kron(factors[k][0])))
+        else:
+            lifts.append(embed(op, "slot1" if first == 0 else "slot2"))
+        k += 1
+    out = lifts[0]
+    for lift in lifts[1:]:
+        out = out @ lift
+    return out
+
+
+def kron_enh4_enh5_products(s: Tensor4, mu: Mat, s_inv: Tensor4):
+    """ENH4's products from Kronecker lifts and ENH5's as their own chain,
+    ``(I (x) mu^-T) (first P)^{t2} (I (x) mu^T) (P last)^{t2}``, each
+    multiplied left to right."""
+    mu_inv = mu.inverse()
+    mu2, mu_inv2 = embed(mu, "slot2").mat, embed(mu_inv, "slot2").mat
+    mut2, mut_inv2 = embed(mu.transpose(), "slot2").mat, embed(mu_inv.transpose(), "slot2").mat
+
+    def enh4(first, third):
+        pf, tp = flip_enh4_factors(first, third)
+        return pf.mat @ mu2 @ tp.mat @ mu_inv2
+
+    def enh5(first, last):
+        fp, pl = flip_enh5_factors(first, last)
+        return mut_inv2 @ fp.mat @ mut2 @ pl.mat
+
+    return [enh4(s_inv, s), enh4(s, s_inv)], [enh5(s, s_inv), enh5(s_inv, s)]
+
+
 def use_decision_references(monkeypatch):
-    """Route the four exact decision shortcuts through the references above."""
+    """Route the exact decision shortcuts through the references above."""
     from ybtk import rmatrix, scalars
 
     monkeypatch.setattr(rmatrix, "check_qyb", flip_check_qyb)
     monkeypatch.setattr(rmatrix, "_braid_relations", each_braid_relation)
     monkeypatch.setattr(rmatrix, "braid_forms", flip_braid_forms)
-    monkeypatch.setattr(rmatrix, "_enh4_factors", flip_enh4_factors)
-    monkeypatch.setattr(rmatrix, "_enh5_factors", flip_enh5_factors)
+    monkeypatch.setattr(rmatrix, "_product", kron_product)
+    monkeypatch.setattr(rmatrix, "_enh4_enh5_products", kron_enh4_enh5_products)
     monkeypatch.setattr(scalars, "_reduce", general_reduce)
 
 
@@ -402,9 +460,9 @@ def fraction_reduce(num: _Poly, den: _Poly) -> tuple[_Poly, _Poly]:
     """Divide out common monomial and rational content; fix the sign of den."""
     if num.is_zero():
         return num, _Poly.const(den.nv, (Fraction(1), Fraction(0)))
-    shift = tuple(min(a, b) for a, b in zip(num.min_exps(), den.min_exps()))
-    num = num.shifted_down(shift)
-    den = den.shifted_down(shift)
+    shift = tuple(min(a, b) for a, b in zip(_min_exps(num), _min_exps(den)))
+    num = _shifted_down(num, shift)
+    den = _shifted_down(den, shift)
     g = _gcd_fraction(_fraction_content(num), _fraction_content(den))
     if g != 1:
         inv = (1 / g, Fraction(0))

@@ -485,6 +485,20 @@ def test_huge_strand_count_exits_3_before_any_work(trivial_file, capsys, strands
     assert len(err.splitlines()) == 1 and err.startswith("resource cap: braid on %s strands" % strands)
 
 
+def test_strand_cap_counts_n_1_like_n_2(tmp_path, capsys):
+    # at n = 1 the state has one entry, but turaev builds one step per strand
+    one = {"n": 1, "field": {"backend": "exact", "indeterminates": [], "imaginary": False},
+           "entries": ["1"], "mu": ["1"]}
+    path = write_json(tmp_path / "one.json", one)
+    start = time.perf_counter()
+    assert main(["invariant", path, "--braid", "strands=99999999 s1"]) == 3
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("resource cap: braid on 99999999 strands")
+    assert main(["invariant", path, "--braid", "strands=12 s1"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
 def test_invariant_strand_cap_counts_dimension_exit3(tmp_path, capsys):
     # n = 3 at 12 strands is a 3^12 x 3^12 state: refused before any work
     data = {

@@ -5,8 +5,8 @@ The sparse ``Mat.compare`` (behind the Yang-Baxter comparisons of
 ``RatFun.__eq__`` and the sparse Gauss-Jordan of ``Mat.inverse`` must
 give what the dense code gives: the same verdicts, witnesses, details
 and printed entries.  So must the decision shortcuts: ``check_qyb`` on
-the braid form, the flip as an index map, and the one-pass reduction
-over a one-term denominator.
+the braid form, the flip as an index map, ENH5 read off ENH4's
+products, and the one-pass reduction.
 """
 
 import pytest
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ybtk import rmatrix
 from ybtk.catalog import families, fixture
-from ybtk.errors import SingularMatrixError
+from ybtk.errors import SingularMatrixError, ToolkitError
 from ybtk.rmatrix import braid_forms, check_qyb, enhance, verify_pair, verify_quadruple
 from ybtk.scalars import Field, RatFun, _Poly, _reduce, exact_tag, float_tag
 from ybtk.tensors import Mat, Tensor4, yb_sides
@@ -29,6 +29,7 @@ from helpers import (
     flip_enh4_factors,
     flip_enh5_factors,
     general_reduce,
+    kron_enh4_enh5_products,
     perturbed,
     sl_n_r,
     use_dense_references,
@@ -276,37 +277,84 @@ def test_index_map_operands_equal_the_permutation_products(backend):
         pr, rp = braid_forms(r)
         _same_operands((pr, rp), flip_braid_forms(r), name)
         for first, other in ((pr, r), (r, rp)):
-            _same_operands(rmatrix._enh4_factors(first, other), flip_enh4_factors(first, other), name)
-            _same_operands(rmatrix._enh5_factors(first, other), flip_enh5_factors(first, other), name)
+            pf, tp = rmatrix._enh4_factors(first, other)
+            _same_operands((pf, tp), flip_enh4_factors(first, other), name)
+            # the ENH5 factors on (other, first) are these, transposed and swapped
+            transposed = [Tensor4(r.n, x.mat.transpose()) for x in (tp, pf)]
+            _same_operands(transposed, flip_enh5_factors(other, first), name)
+
+
+def _enhanced_pairs_and_changed(cases):
+    """Each enhanced pair of the ``(name, R)`` cases, and the pair with S changed."""
+    for name, r in cases:
+        try:
+            pairs = enhance(r).pairs
+        except ToolkitError:
+            continue
+        for pair in pairs:
+            label = "%s %s" % (name, pair.provenance)
+            yield label, pair.s, pair.mu
+            yield label + "-changed", perturbed(pair.s), pair.mu
+
+
+def test_transposed_enh4_products_equal_the_enh5_chain():
+    failing = 0
+    for label, s, mu in _enhanced_pairs_and_changed(_catalog_and_sl()):
+        enh4, enh5 = rmatrix._enh4_enh5_products(s, mu, s.inverse())
+        _, want = kron_enh4_enh5_products(s, mu, s.inverse())
+        for got, ref in zip(enh5, want):
+            assert all(x == y for a, b in zip(got.tolist(), ref.tolist()) for x, y in zip(a, b)), label
+        failing += any(not x.is_identity() for x in enh4)
+    assert failing  # the changed pairs fail ENH4, so not every product is I
+
+
+@pytest.mark.parametrize("q", [0.5, 2, 7.5])
+def test_float_enh5_read_off_enh4_matches_the_enh5_chain(q):
+    for label, s, mu in _enhanced_pairs_and_changed(("sl%d" % n, sl_n_r(Q, n)) for n in (3, 4, 5)):
+        s = Tensor4(s.n, s.mat.evaluate({"q": q}, C))
+        mu = mu.evaluate({"q": q}, C)
+        eye = Mat.identity(C, s.n * s.n)
+        _, enh5 = rmatrix._enh4_enh5_products(s, mu, s.inverse())
+        _, want = kron_enh4_enh5_products(s, mu, s.inverse())
+        for got, ref in zip(enh5, want):
+            (ok, residual, _), (ref_ok, ref_residual, _) = got.compare(eye), ref.compare(eye)
+            assert ok == ref_ok and abs(residual - ref_residual) <= 1e-12, label
 
 
 # ---------------------------------------------------------------------------
-# one-pass reduction over a one-term denominator
+# one-pass reduction
 
 
 _coeffs = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(any)
 
 
 @st.composite
-def _one_term_quotients(draw):
-    """(num, den) as a product or sum hands them to ``_reduce``: den one term."""
+def _quotients(draw):
+    """(num, den) as a product or sum hands them to ``_reduce``: den of 1 to 4 terms."""
     nv = draw(st.integers(1, 3))
     exps = st.tuples(*[st.integers(0, 4)] * nv)
-    terms = draw(st.dictionaries(exps, _coeffs, max_size=4))
+    den_terms = draw(st.dictionaries(exps, _coeffs, min_size=1, max_size=4))
     # a leading den coefficient that is real, negative, imaginary or negative imaginary
     dr, di = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 2), (0, -3)]))
+    den_terms[max(den_terms)] = (dr * draw(st.integers(1, 3)), di)
     k = draw(st.integers(1, 6))
     # a common content k, sometimes shared by num only
     num_k = k if draw(st.booleans()) else 1
     den_k = draw(st.sampled_from([1, k]))
-    num = _Poly(nv, {m: (re * num_k, im * num_k) for m, (re, im) in terms.items()})
-    den = _Poly(nv, {draw(exps): (dr * den_k * draw(st.integers(1, 3)), di * den_k)})
+    den = _Poly(nv, {m: (re * den_k, im * den_k) for m, (re, im) in den_terms.items()})
+    shape = draw(st.sampled_from(["any", "as many terms as den", "a monomial times den"]))
+    if shape == "a monomial times den":
+        num = den.mul(_Poly(nv, {draw(exps): draw(_coeffs)}))
+    else:
+        size = len(den_terms) if shape == "as many terms as den" else draw(st.integers(0, 4))
+        num = _Poly(nv, draw(st.dictionaries(exps, _coeffs, min_size=size, max_size=size)))
+    num = _Poly(nv, {m: (re * num_k, im * num_k) for m, (re, im) in num.terms.items()})
     return num, den
 
 
-@settings(max_examples=300, deadline=None)
-@given(_one_term_quotients())
-def test_one_term_reduction_matches_the_general_steps(pair):
+@settings(max_examples=400, deadline=None)
+@given(_quotients())
+def test_reduction_matches_the_general_steps_for_dens_of_1_to_4_terms(pair):
     num, den = pair
     got, want = _reduce(num, den), general_reduce(num, den)
     assert got[0].terms == want[0].terms

@@ -364,6 +364,13 @@ def test_enhance_forms_two_full_size_inverses(monkeypatch):
     assert sum(1 for (m,) in calls if m.rows == 9) == 2
 
 
+def test_enhance_builds_no_kronecker_product(monkeypatch):
+    # every axiom product is one kernel chain: mu acts on its slot as a step
+    calls = counting(monkeypatch, Mat, "kron")
+    enhance(sl_n_r(Field(exact_tag("q")), 3))
+    assert calls == []
+
+
 def test_shared_inverses_of_the_braid_forms():
     r = sl_n_r(Field(exact_tag("q")), 3)
     pr, rp = braid_forms(r)
