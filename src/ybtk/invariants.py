@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ScalarSyntaxError, StrandLimitError, TangleTypeError
-from .rmatrix import second_inverse
+from .rmatrix import braid_forms, second_inverse
 from .scalars import Field, Scalar, scalar_invert
 from .tensors import Mat, Tensor4, slot_trace
 
@@ -235,7 +235,7 @@ def braidings(r: Tensor4) -> FundamentalBraidings:
     r_inv = r.inverse()
     return FundamentalBraidings(
         r.permute_axes((3, 2, 0, 1)),  # c_vv^{xy}_{cd} = R^{cd}_{yx}
-        r.permute_axes((1, 0, 2, 3)),  # c_dd^{xy}_{cd} = R^{yx}_{cd}
+        braid_forms(r)[0],  # c_dd^{xy}_{cd} = R^{yx}_{cd}, the braid form PR
         rt.permute_axes((1, 2, 0, 3)),  # c_vd^{xy}_{cd} = R~^{cx}_{yd}
         r_inv.permute_axes((3, 0, 2, 1)),  # c_dv^{xy}_{cd} = (R^-1)^{yd}_{cx}
     )

@@ -26,9 +26,10 @@ Given an ``n^2 x n^2`` matrix ``R``:
   product is an ENH4 product transposed.
 
 The verifiers accept any invertible input and report per-axiom results;
-only ``enhance`` insists on biinvertibility.  Every axiom product is one
-slot-kernel chain on the identity (``_product``): ``mu`` acts on its slot
-as a kernel step, with no Kronecker embedding.
+only ``enhance`` insists on biinvertibility.  Every axiom product is a
+slot-kernel chain on the identity (``_product``), ``mu`` a step on its own
+slot; ``S (mu (x) mu)`` and ``S^-1 (mu (x) mu)`` are one step each on the
+one state ``embed(mu, "both")``.  No Kronecker product is formed.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .scalars import Scalar, monomial_sqrt, scalar_invert
-from .tensors import Mat, Tensor4
+from .tensors import Mat, Tensor4, braid_sides, embed, yb_sides
 
 __all__ = [
     "AxiomResult",
@@ -139,15 +140,9 @@ def _compare(lhs: Mat, rhs: Mat, label: str = "") -> AxiomResult:
 
 
 def check_qyb(r: Tensor4) -> AxiomResult:
-    """Quantum Yang-Baxter check; the witness is a component equation.
-
-    For every R, with B = PR, ``R12 R13 R23`` is ``B23 B12 B23`` and
-    ``R23 R13 R12`` is ``B12 B23 B12``, each with its three row slots
-    reversed: three kernel steps a side and no flip step.
-    """
-    b121, b232 = _braid_sides(r.permute_axes((1, 0, 2, 3)))
-    reverse = (2, 1, 0, 3, 4, 5)
-    left, right = b232.permute_axes(r.n, reverse), b121.permute_axes(r.n, reverse)
+    """Quantum Yang-Baxter check on ``yb_sides``, which builds each side
+    as the braid sides of PR; the witness is a component equation."""
+    left, right = yb_sides(r)
     ok, residual, witness = left.compare(right)
     if ok:
         return AxiomResult(True, residual)
@@ -185,12 +180,11 @@ def second_inverse(r: Tensor4) -> Tensor4:
 
 def compute_uv(r: Tensor4) -> tuple[Mat, Mat]:
     """The contraction matrices U and V of the second inverse."""
-    rt = second_inverse(r)
     # U^i_j = sum_a R~^{ai}_{ja} and V^i_j = sum_a R~^{ia}_{aj}: a swap of
-    # the upper or lower indices turns each into a second partial trace
-    u = rt.permute_axes((1, 0, 2, 3)).partial_trace2()
-    v = rt.permute_axes((0, 1, 3, 2)).partial_trace2()
-    return u, v
+    # the upper or lower indices (the braid forms of R~) turns each into a
+    # second partial trace
+    pr, rp = braid_forms(second_inverse(r))
+    return pr.partial_trace2(), rp.partial_trace2()
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +335,9 @@ def enhance(r: Tensor4) -> Enhancement:
         EnhancedQuadruple(pr, u, inv_alpha, alpha, "PR"),
         EnhancedQuadruple(rp, v, inv_alpha, alpha, "RP"),
     ]
-    # one inverse for all four: (PR)^-1 = R^-1 P, (RP)^-1 = P R^-1 and
-    # (alpha S)^-1 = alpha^-1 S^-1
-    r_inv = r.inverse()
-    inverses = [r_inv.permute_axes((0, 1, 3, 2)), r_inv.permute_axes((1, 0, 2, 3))]
+    # one inverse for all four: (PR)^-1 = R^-1 P and (RP)^-1 = P R^-1 are
+    # the braid forms of R^-1 in reverse order, and (alpha S)^-1 = alpha^-1 S^-1
+    inverses = braid_forms(r.inverse())[::-1]
     braid = _braid_relations(pairs)
     for pair, s_inv, yb3 in zip(pairs, inverses, braid):
         report = _pair_report(pair.s, pair.mu, s_inv.scale(inv_alpha), yb3)
@@ -384,15 +377,8 @@ def _require(kind: str, provenance: str, report: EnhancementReport) -> None:
 # axiom verifiers
 
 
-def _braid_sides(s: Tensor4) -> tuple[Mat, Mat]:
-    """``(S12 S23 S12, S23 S12 S23)`` on n^3, three kernel steps each."""
-    s12, s23 = [(s.mat, 0)], [(s.mat, 1)]
-    eye = Mat.identity(s.field, s.n ** 3)
-    return eye.apply_slots(s.n, s12 + s23 + s12), eye.apply_slots(s.n, s23 + s12 + s23)
-
-
 def _yb3(s: Tensor4) -> AxiomResult:
-    return _compare(*_braid_sides(s), "braid relation")
+    return _compare(*braid_sides(s), "braid relation")
 
 
 def verify_quadruple(s: Tensor4, mu: Mat, alpha: Scalar, beta: Scalar) -> EnhancementReport:
@@ -413,7 +399,9 @@ def _quadruple_report(
     """``verify_quadruple`` given S^-1 and the braid relation's result."""
     report = EnhancementReport()
     report.results["YB3"] = yb3
-    report.results["ENH1"], s_mumu = _enh1(s, mu)
+    mumu = embed(mu, "both")
+    s_mumu = s @ mumu
+    report.results["ENH1"] = _enh1(s, mu, s_mumu)
 
     inv_alpha = scalar_invert(alpha)
     plus = _compare(
@@ -422,7 +410,7 @@ def _quadruple_report(
         "positive-sign trace normalisation",
     )
     minus = _compare(
-        _product(s, (s_inv.mat, 0), (mu, 0), (mu, 1)).partial_trace2(),
+        (s_inv @ mumu).partial_trace2(),
         mu.scale(inv_alpha * beta),
         "negative-sign trace normalisation",
     )
@@ -452,7 +440,7 @@ def _pair_report(s: Tensor4, mu: Mat, s_inv: Tensor4, yb3: AxiomResult) -> Enhan
     f = s.field
     report = EnhancementReport()
     report.results["YB3"] = yb3
-    report.results["ENH1"] = _enh1(s, mu)[0]
+    report.results["ENH1"] = _enh1(s, mu, s @ embed(mu, "both"))
     report.results["ENH3"] = _enh3(s, mu, s_inv, f.one, f.one)
     eye2 = Mat.identity(f, s.n * s.n)
     for name, products in zip(("ENH4", "ENH5"), _enh4_enh5_products(s, mu, s_inv)):
@@ -472,11 +460,10 @@ def _product(s: Tensor4, *factors) -> Tensor4:
     return Tensor4(s.n, eye.apply_slots(s.n, factors[::-1]))
 
 
-def _enh1(s: Tensor4, mu: Mat) -> tuple[AxiomResult, Tensor4]:
-    """ENH1, ``S (mu (x) mu) = (mu (x) mu) S``, and its left side."""
-    s_mumu = _product(s, (s.mat, 0), (mu, 0), (mu, 1))
+def _enh1(s: Tensor4, mu: Mat, s_mumu: Tensor4) -> AxiomResult:
+    """ENH1, ``S (mu (x) mu) = (mu (x) mu) S``, given its left side."""
     mumu_s = _product(s, (mu, 0), (mu, 1), (s.mat, 0))
-    return _compare(s_mumu.mat, mumu_s.mat, "S does not commute with mu(x)mu"), s_mumu
+    return _compare(s_mumu.mat, mumu_s.mat, "S does not commute with mu(x)mu")
 
 
 def _enh3(s: Tensor4, mu: Mat, s_inv: Tensor4, plus: Scalar, minus: Scalar) -> AxiomResult:

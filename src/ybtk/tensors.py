@@ -21,10 +21,12 @@ Two primitives carry all slot arithmetic, on both backends:
   factors in their place, so cups (``a = 0``) and caps (``b = 0``) change
   the factor count.  Steps run in list order, each left-multiplying the
   state; a product ``L1 L2 ... Lk`` is the step list ``Lk, ..., L1``
-  applied to the identity.  The kernel also builds every axiom product
-  of the ``rmatrix`` verifiers, with ``mu`` a step on its own slot;
-  ``embed`` and the Kronecker product ``Mat.kron`` stay public, and no
-  check or invariant calls them.
+  applied to the identity.  The kernel builds every product of
+  slot-local operators: the Yang-Baxter sides (``braid_sides``,
+  ``yb_sides``), the lifts ``lift12`` / ``lift23`` and the embeddings of
+  ``embed`` (kernel steps on the identity), and every axiom product of
+  the ``rmatrix`` verifiers, with ``mu`` a step on its own slot.
+  ``Mat.kron`` is the one Kronecker product, kept as public API.
 * ``Mat.permute_axes(n, perm)`` reads the row factors and then the
   column factors as tensor axes and permutes them like numpy's
   ``transpose``, through one integer index array.  The transposes, the
@@ -151,14 +153,9 @@ class Mat:
 
     @staticmethod
     def build(field: Field, rows: int, cols: int, fn: Callable[[int, int], Scalar]) -> "Mat":
-        if field.exact:
-            return Mat(field, rows, cols,
-                       _sparse((i, [(j, fn(i, j)) for j in range(cols)]) for i in range(rows)))
-        a = np.empty((rows, cols), dtype=complex)
-        for i in range(rows):
-            for j in range(cols):
-                a[i, j] = complex(fn(i, j))
-        return Mat(field, rows, cols, a)
+        if not rows:
+            return Mat.zeros(field, 0, cols)
+        return Mat.from_rows(field, [[fn(i, j) for j in range(cols)] for i in range(rows)])
 
     # -- access ---------------------------------------------------------
 
@@ -239,19 +236,12 @@ class Mat:
         return acc
 
     def trace_product(self, other: "Mat") -> Scalar:
-        """Tr(self @ other) without materialising the product."""
+        """Tr(self @ other); the float backend does not form the product."""
         if self.cols != other.rows or self.rows != other.cols:
             raise ValueError("trace_product shape mismatch")
         if not self.field.exact:
             return complex(np.einsum("ij,ji->", self._a, other._a))
-        acc = self.field.zero
-        for i in sorted(self._a):
-            row = self._a[i]
-            for j in sorted(row):
-                y = other._a.get(j, _NO_ROW).get(i)
-                if y is not None:
-                    acc = acc + row[j] * y
-        return acc
+        return (self @ other).trace()
 
     def kron(self, other: "Mat") -> "Mat":
         rows = self.rows * other.rows
@@ -765,12 +755,7 @@ class Tensor4:
 
     @staticmethod
     def from_entry_fn(field: Field, n: int, fn) -> "Tensor4":
-        def flat(i, j):
-            a, b = divmod(i, n)
-            c, d = divmod(j, n)
-            return fn(a, b, c, d)
-
-        return Tensor4(n, Mat.build(field, n * n, n * n, flat))
+        return Tensor4(n, Mat.build(field, n * n, n * n, lambda i, j: fn(*divmod(i, n), *divmod(j, n))))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Tensor4":
@@ -824,10 +809,10 @@ class Tensor4:
     # -- three-slot lifts -----------------------------------------------------
 
     def lift12(self) -> Mat:
-        return self.mat.kron(Mat.identity(self.field, self.n))
+        return Mat.identity(self.field, self.n ** 3).apply_slots(self.n, [(self.mat, 0)])
 
     def lift23(self) -> Mat:
-        return Mat.identity(self.field, self.n).kron(self.mat)
+        return Mat.identity(self.field, self.n ** 3).apply_slots(self.n, [(self.mat, 1)])
 
     def lift13(self) -> Mat:
         # R13 = P23 R12 P23: swap the second and third factors on both sides
@@ -840,33 +825,36 @@ def permutation(field: Field, n: int) -> Tensor4:
 
 
 def embed(mu: Mat, which: str) -> Tensor4:
-    """Kronecker embedding of an n x n matrix into a two-slot operator.
+    """An n x n matrix embedded into a two-slot operator as kernel steps.
 
     ``slot1`` gives mu (x) I, ``slot2`` gives I (x) mu, ``both`` gives
-    mu (x) mu, all in the fixed flattening.
+    mu (x) mu (mu on slot 1, then on slot 0), all in the fixed flattening.
     """
     if not mu.square:
         raise ValueError("embed needs a square matrix")
+    steps = {"slot1": [(mu, 0)], "slot2": [(mu, 1)], "both": [(mu, 1), (mu, 0)]}.get(which)
+    if steps is None:
+        raise ValueError("which must be 'slot1', 'slot2' or 'both'")
     n = mu.rows
-    eye = Mat.identity(mu.field, n)
-    if which == "slot1":
-        return Tensor4(n, mu.kron(eye))
-    if which == "slot2":
-        return Tensor4(n, eye.kron(mu))
-    if which == "both":
-        return Tensor4(n, mu.kron(mu))
-    raise ValueError("which must be 'slot1', 'slot2' or 'both'")
+    return Tensor4(n, Mat.identity(mu.field, n * n).apply_slots(n, steps))
+
+
+def braid_sides(s: Tensor4) -> tuple[Mat, Mat]:
+    """``(S12 S23 S12, S23 S12 S23)`` on n^3, three kernel steps each."""
+    s12, s23 = [(s.mat, 0)], [(s.mat, 1)]
+    eye = Mat.identity(s.field, s.n ** 3)
+    return eye.apply_slots(s.n, s12 + s23 + s12), eye.apply_slots(s.n, s23 + s12 + s23)
 
 
 def yb_sides(r: Tensor4) -> tuple[Mat, Mat]:
     """Both triple products of the quantum Yang-Baxter equation on n^3.
 
     Returns (R12 R13 R23, R23 R13 R12) as n^3 x n^3 matrices in the
-    fixed three-slot flattening.
+    fixed three-slot flattening.  For every R, with B = PR,
+    ``R12 R13 R23`` is ``B23 B12 B23`` and ``R23 R13 R12`` is
+    ``B12 B23 B12``, each with its three row slots reversed: the braid
+    sides of B, three kernel steps a side and no flip step.
     """
-    p = permutation(r.field, r.n).mat
-    r12, r23 = [(r.mat, 0)], [(r.mat, 1)]
-    r13 = [(p, 1), (r.mat, 0), (p, 1)]
-    eye = Mat.identity(r.field, r.n ** 3)
-    # a product's rightmost factor is its first step
-    return eye.apply_slots(r.n, r23 + r13 + r12), eye.apply_slots(r.n, r12 + r13 + r23)
+    b121, b232 = braid_sides(r.permute_axes((1, 0, 2, 3)))
+    reverse = (2, 1, 0, 3, 4, 5)
+    return b232.permute_axes(r.n, reverse), b121.permute_axes(r.n, reverse)

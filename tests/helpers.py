@@ -6,7 +6,7 @@ from fractions import Fraction
 from ybtk.errors import SingularMatrixError
 from ybtk.rmatrix import AxiomResult
 from ybtk.scalars import Field, _cmul, _format_poly, _monomial_quotient, _Poly, substitute
-from ybtk.tensors import Mat, Tensor4, embed, permutation, yb_sides
+from ybtk.tensors import Mat, Tensor4, permutation
 
 
 def rand_fraction(rng, lo=-5, hi=5):
@@ -112,6 +112,12 @@ def entrywise_lift13(r: Tensor4) -> Mat:
         return r.entry(a, c, d, f) if b == e else r.field.zero
 
     return Mat.build(r.field, n ** 3, n ** 3, fn)
+
+
+def kron_embed(mu: Mat, which: str) -> Tensor4:
+    """``embed`` as Kronecker products: mu (x) I, I (x) mu or mu (x) mu."""
+    eye = Mat.identity(mu.field, mu.rows)
+    return Tensor4(mu.rows, {"slot1": mu.kron(eye), "slot2": eye.kron(mu), "both": mu.kron(mu)}[which])
 
 
 def kron_yb_sides(r: Tensor4):
@@ -225,9 +231,20 @@ def use_dense_references(monkeypatch):
 # as its own chain, and the general reduction for every denominator
 
 
+def flip_yb_sides(r: Tensor4):
+    """(R12 R13 R23, R23 R13 R12) as kernel chains on R itself, where
+    R13 = P23 R12 P23 runs as three steps."""
+    p = permutation(r.field, r.n).mat
+    r12, r23 = [(r.mat, 0)], [(r.mat, 1)]
+    r13 = [(p, 1), (r.mat, 0), (p, 1)]
+    eye = Mat.identity(r.field, r.n ** 3)
+    # a product's rightmost factor is its first step
+    return eye.apply_slots(r.n, r23 + r13 + r12), eye.apply_slots(r.n, r12 + r13 + r23)
+
+
 def flip_check_qyb(r: Tensor4) -> AxiomResult:
-    """``check_qyb`` on ``yb_sides``, where R13 = P23 R12 P23 runs as three steps."""
-    left, right = yb_sides(r)
+    """``check_qyb`` on ``flip_yb_sides``."""
+    left, right = flip_yb_sides(r)
     ok, residual, witness = left.compare(right)
     if ok:
         return AxiomResult(True, residual)
@@ -306,8 +323,8 @@ def general_reduce(num: _Poly, den: _Poly) -> tuple[_Poly, _Poly]:
 
 def kron_product(s: Tensor4, *factors) -> Tensor4:
     """``rmatrix._product`` as the verifiers once built it: each factor
-    lifted to n^2 by ``embed``, ``(A, 0), (B, 1)`` lifted as one A (x) B,
-    and the lifts multiplied left to right."""
+    lifted to n^2 by ``kron_embed``, ``(A, 0), (B, 1)`` lifted as one
+    A (x) B, and the lifts multiplied left to right."""
     n, lifts, k = s.n, [], 0
     while k < len(factors):
         op, first = factors[k]
@@ -317,7 +334,7 @@ def kron_product(s: Tensor4, *factors) -> Tensor4:
             k += 1
             lifts.append(Tensor4(n, op.kron(factors[k][0])))
         else:
-            lifts.append(embed(op, "slot1" if first == 0 else "slot2"))
+            lifts.append(kron_embed(op, "slot1" if first == 0 else "slot2"))
         k += 1
     out = lifts[0]
     for lift in lifts[1:]:
@@ -330,8 +347,8 @@ def kron_enh4_enh5_products(s: Tensor4, mu: Mat, s_inv: Tensor4):
     ``(I (x) mu^-T) (first P)^{t2} (I (x) mu^T) (P last)^{t2}``, each
     multiplied left to right."""
     mu_inv = mu.inverse()
-    mu2, mu_inv2 = embed(mu, "slot2").mat, embed(mu_inv, "slot2").mat
-    mut2, mut_inv2 = embed(mu.transpose(), "slot2").mat, embed(mu_inv.transpose(), "slot2").mat
+    mu2, mu_inv2 = kron_embed(mu, "slot2").mat, kron_embed(mu_inv, "slot2").mat
+    mut2, mut_inv2 = kron_embed(mu.transpose(), "slot2").mat, kron_embed(mu_inv.transpose(), "slot2").mat
 
     def enh4(first, third):
         pf, tp = flip_enh4_factors(first, third)
@@ -352,6 +369,7 @@ def use_decision_references(monkeypatch):
     monkeypatch.setattr(rmatrix, "_braid_relations", each_braid_relation)
     monkeypatch.setattr(rmatrix, "braid_forms", flip_braid_forms)
     monkeypatch.setattr(rmatrix, "_product", kron_product)
+    monkeypatch.setattr(rmatrix, "embed", kron_embed)
     monkeypatch.setattr(rmatrix, "_enh4_enh5_products", kron_enh4_enh5_products)
     monkeypatch.setattr(scalars, "_reduce", general_reduce)
 

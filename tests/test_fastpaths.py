@@ -18,7 +18,7 @@ from ybtk.catalog import families, fixture
 from ybtk.errors import SingularMatrixError, ToolkitError
 from ybtk.rmatrix import braid_forms, check_qyb, enhance, verify_pair, verify_quadruple
 from ybtk.scalars import Field, RatFun, _Poly, _reduce, exact_tag, float_tag
-from ybtk.tensors import Mat, Tensor4, yb_sides
+from ybtk.tensors import Mat, Tensor4
 
 from helpers import (
     cross_multiply_eq,
@@ -28,6 +28,7 @@ from helpers import (
     flip_check_qyb,
     flip_enh4_factors,
     flip_enh5_factors,
+    flip_yb_sides,
     general_reduce,
     kron_enh4_enh5_products,
     perturbed,
@@ -55,7 +56,7 @@ def test_check_qyb_matches_dense_sides(name, monkeypatch):
     fast = [check_qyb(r) for r in rs]
     assert fast[0].ok and not fast[1].ok
     for r, got in zip(rs, fast):
-        left, right = yb_sides(r)
+        left, right = flip_yb_sides(r)
         ok, _, witness = left.compare(right)
         assert got.ok == ok
         if not ok:

@@ -21,10 +21,13 @@ from ybtk.invariants import (
 from ybtk.rmatrix import braid_forms, enhance
 from ybtk.scalars import Field, exact_tag, float_tag
 from ybtk import tensors
-from ybtk.tensors import Mat, Tensor4, slot_trace, yb_sides
+from ybtk.tensors import Mat, Tensor4, embed, slot_trace, yb_sides
 
 from helpers import (
+    entrywise_lift13,
+    flip_yb_sides,
     kron_braid_rep,
+    kron_embed,
     kron_layer,
     kron_tangle_eval,
     kron_yb_sides,
@@ -95,6 +98,31 @@ def test_yb_sides_match_kron_reference(field, n):
         r = rand_tensor4(rng, field, n, density if n == 2 else density / 2)
         got, want = yb_sides(r), kron_yb_sides(r)
         assert got[0].eq(want[0]) and got[1].eq(want[1])
+
+
+@pytest.mark.parametrize("field", [Q, C], ids=["exact", "float"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_slot_local_products_match_their_references(field, n):
+    # the Yang-Baxter sides against the flip-step chain, the lifts and the
+    # embeddings against Kronecker products and an entrywise R13
+    rng = random.Random(600 + n)
+    r = rand_tensor4(rng, field, n, 1.0 if n < 3 else 0.3)
+    mu = rand_mat(rng, field, n, n)
+    eye = Mat.identity(field, n)
+    pairs = [
+        *zip(yb_sides(r), flip_yb_sides(r)),
+        (r.lift12(), r.mat.kron(eye)),
+        (r.lift23(), eye.kron(r.mat)),
+        (r.lift13(), entrywise_lift13(r)),
+    ]
+    pairs += [(embed(mu, which).mat, kron_embed(mu, which).mat) for which in ("slot1", "slot2", "both")]
+    for k, (got, want) in enumerate(pairs):
+        assert (got.rows, got.cols) == (want.rows, want.cols), k
+        if field.exact:
+            assert got.tolist() == want.tolist(), k
+            assert got.format_rows() == want.format_rows(), k
+        else:
+            assert (got - want).max_abs() <= 1e-15 * max(1.0, want.max_abs()), k
 
 
 @pytest.mark.parametrize("field", [QQ, C], ids=["exact", "float"])

@@ -21,6 +21,7 @@ from ybtk.rmatrix import (
     contraction_identity,
     enhance,
     enhancement_test,
+    full_check,
     second_inverse,
     slot_identities,
     trace_identities,
@@ -364,11 +365,21 @@ def test_enhance_forms_two_full_size_inverses(monkeypatch):
     assert sum(1 for (m,) in calls if m.rows == 9) == 2
 
 
-def test_enhance_builds_no_kronecker_product(monkeypatch):
-    # every axiom product is one kernel chain: mu acts on its slot as a step
-    calls = counting(monkeypatch, Mat, "kron")
-    enhance(sl_n_r(Field(exact_tag("q")), 3))
-    assert calls == []
+def test_decisions_build_the_yb_sides_once_and_no_kronecker_product(monkeypatch):
+    # check_qyb's sides are yb_sides'; every axiom product behind check,
+    # enhance and verify is a kernel chain, mu a step on its own slot
+    sides = counting(monkeypatch, rmatrix, "yb_sides")
+    krons = counting(monkeypatch, Mat, "kron")
+    r = sl_n_r(Field(exact_tag("q")), 3)
+    assert check_qyb(r).ok
+    assert len(sides) == 1
+    assert full_check(r)[0].ok
+    result = enhance(r)
+    for pair in result.pairs:
+        assert verify_pair(pair.s, pair.mu).ok
+    for quad in result.quadruples:
+        assert verify_quadruple(quad.s, quad.mu, quad.alpha, quad.beta).ok
+    assert len(sides) == 2 and krons == []
 
 
 def test_shared_inverses_of_the_braid_forms():

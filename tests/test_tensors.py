@@ -405,6 +405,15 @@ def test_exact_mat_stores_no_zero():
         assert_sparse(m)
 
 
+@pytest.mark.parametrize("field", [Q, C], ids=["exact", "float"])
+def test_build_keeps_a_declared_empty_shape(field):
+    for rows, cols in ((0, 3), (2, 0), (0, 0)):
+        m = Mat.build(field, rows, cols, lambda i, j: field.one)
+        assert (m.rows, m.cols) == (rows, cols)
+        assert m.tolist() == [[]] * rows
+        assert (m.transpose().rows, m.transpose().cols) == (cols, rows)
+
+
 def test_exact_sums_add_in_ascending_order():
     # RatFun keeps no gcd: (x0 + x1) + x2 and (x2 + x1) + x0 print differently
     x0, x1, x2 = (Q.parse(t) for t in ("1/(q+1)", "1/(q+1)", "1/(q+2)"))
