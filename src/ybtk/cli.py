@@ -340,7 +340,7 @@ def _cmd_verify(args) -> int:
     if (loaded.alpha is None) != (loaded.beta is None):
         raise MatrixFileError("alpha and beta must be supplied together")
     if loaded.alpha is not None:
-        if loaded.field.is_zero(loaded.alpha) or loaded.field.is_zero(loaded.beta):
+        if not loaded.alpha or not loaded.beta:
             raise MatrixFileError("alpha and beta must be nonzero")
         report = verify_quadruple(loaded.r, loaded.mu, loaded.alpha, loaded.beta)
     else:
@@ -404,14 +404,8 @@ def _cmd_catalog(args) -> int:
         name, value = _split_binding(text)
         bindings[name] = value.strip()
     fx = catalog_mod.fixture(fid, bindings=bindings or None, variant=args.variant)
-    field = fx.field
-    mf = MatrixFile(
-        n=2,
-        tag=field.tag,
-        entries=[
-            field.format(fx.r.mat.at(i, j)) for i in range(4) for j in range(4)
-        ],
-    )
+    entries = [x for row in fx.r.mat.format_rows() for x in row]
+    mf = MatrixFile(n=fx.r.n, tag=fx.field.tag, entries=entries)
     sys.stdout.write(write_matrix(mf))
     if fx.notes:
         print("# %s" % fx.notes, file=sys.stderr)

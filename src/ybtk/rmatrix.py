@@ -217,7 +217,7 @@ def _scalar_multiple_of_identity(vu: Mat, v: Mat, u: Mat) -> Scalar | None:
     c = vu.at(0, 0)
     eye = Mat.identity(f, vu.rows)
     if f.exact:
-        return None if c.is_zero or not vu.eq(eye.scale(c)) else c
+        return None if not c or not vu.eq(eye.scale(c)) else c
     mag = v.abs() @ u.abs()
     m00 = mag.at(0, 0).real
     excess = (vu - eye.scale(c)).abs() - (mag + eye.scale(m00)).scale(f.tolerance)
@@ -259,14 +259,8 @@ def full_check(r: Tensor4) -> tuple[EnhancementReport, EnhancementOutcome]:
     outcome = enhancement_test(r)
     if outcome.biinvertible:
         report.results["BIINV"] = AxiomResult(True)
-        f = r.field
         if outcome.alpha_sq is not None:
-            detail = "alpha^2 = %s" % f.format(outcome.alpha_sq)
-            if outcome.alpha is not None:
-                detail += ", alpha = %s" % f.format(outcome.alpha)
-            else:
-                detail += ", no monomial square root"
-            report.results["VU_SCALAR"] = AxiomResult(True, detail=detail)
+            report.results["VU_SCALAR"] = AxiomResult(True)
         else:
             report.results["VU_SCALAR"] = AxiomResult(
                 False, detail="V U is not a nonzero scalar multiple of the identity"
@@ -311,8 +305,8 @@ def enhance(r: Tensor4) -> Enhancement:
 
     Requires biinvertibility and VU = alpha^2 I with a representable
     alpha.  Every returned object has already passed its verifier's
-    axioms; the four checks share one inverse of R, and on the exact
-    backend one braid-relation run.
+    axioms; the four checks share one inverse of R and, on the exact
+    backend, one braid-relation run (``_braid_relations``).
     """
     outcome = enhancement_test(r)
     if not outcome.biinvertible:
@@ -338,31 +332,28 @@ def enhance(r: Tensor4) -> Enhancement:
     # one inverse for all four: (PR)^-1 = R^-1 P and (RP)^-1 = P R^-1 are
     # the braid forms of R^-1 in reverse order, and (alpha S)^-1 = alpha^-1 S^-1
     inverses = braid_forms(r.inverse())[::-1]
-    braid = _braid_relations(pairs)
-    for pair, s_inv, yb3 in zip(pairs, inverses, braid):
+    braid = _braid_relations(pairs + quadruples)
+    for pair, s_inv, yb3 in zip(pairs, inverses, braid[:2]):
         report = _pair_report(pair.s, pair.mu, s_inv.scale(inv_alpha), yb3)
         _require("pair", pair.provenance, report)
-    for quad, s_inv, yb3 in zip(quadruples, inverses, braid):
-        if not r.field.exact:
-            yb3 = _yb3(quad.s)
+    for quad, s_inv, yb3 in zip(quadruples, inverses, braid[2:]):
         report = _quadruple_report(quad.s, quad.mu, quad.alpha, quad.beta, s_inv, yb3)
         _require("quadruple", quad.provenance, report)
     return Enhancement(alpha, pairs, quadruples)
 
 
-def _braid_relations(pairs: list[EnhancedPair]) -> list[AxiomResult]:
-    """The braid relation of each enhanced pair's S, in order (PR, then RP).
+def _braid_relations(enhanced: list[EnhancedPair | EnhancedQuadruple]) -> list[AxiomResult]:
+    """The braid relation of each enhanced pair's or quadruple's S, in order.
 
     The relation is homogeneous of degree 3 in S, so alpha S and S pass or
     fail it together.  RP = P (PR) P, and reversing the three slots maps
     the relation of PR onto that of RP, so on the exact backend one run
-    answers both; when it fails, the PR pair is refused first.  Float
+    answers all; when it fails, the PR pair is refused first.  Float
     tolerance is neither scale- nor rounding-invariant, so float runs each.
     """
-    if pairs[0].s.field.exact:
-        yb3 = _yb3(pairs[0].s)
-        return [yb3, yb3]
-    return [_yb3(pair.s) for pair in pairs]
+    if enhanced[0].s.field.exact:
+        return [_yb3(enhanced[0].s)] * len(enhanced)
+    return [_yb3(x.s) for x in enhanced]
 
 
 def _require(kind: str, provenance: str, report: EnhancementReport) -> None:
@@ -387,8 +378,7 @@ def verify_quadruple(s: Tensor4, mu: Mat, alpha: Scalar, beta: Scalar) -> Enhanc
     S must be invertible and alpha, beta nonzero; mu may be singular, in
     which case the equivalent normalisation on ``I (x) mu`` is skipped.
     """
-    f = s.field
-    if f.is_zero(alpha) or f.is_zero(beta):
+    if not alpha or not beta:
         raise ValueError("alpha and beta must be nonzero")
     return _quadruple_report(s, mu, alpha, beta, s.inverse(), _yb3(s))  # Singular propagates
 

@@ -454,7 +454,7 @@ def float_tag(tolerance: float = 1e-9) -> FieldTag:
 
 
 class Field:
-    """Operational facade over a FieldTag: parsing, comparison, constants."""
+    """Operational facade over a FieldTag: parsing, formatting, constants."""
 
     def __init__(self, tag: FieldTag):
         self.tag = tag
@@ -514,11 +514,6 @@ class Field:
     def format(self, x: Scalar) -> str:
         return format_scalar(x)
 
-    def is_zero(self, x: Scalar) -> bool:
-        if self.exact:
-            return x.is_zero
-        return abs(x) <= self.tag.tolerance
-
 
 # ---------------------------------------------------------------------------
 # free-function operations
@@ -528,7 +523,7 @@ def scalar_invert(s: Scalar) -> Scalar:
     """Multiplicative inverse; raises ZeroDivisionError on zero."""
     if isinstance(s, RatFun):
         return s.invert()
-    if s == 0:
+    if not s:
         raise ZeroDivisionError("inverting the zero scalar")
     return 1 / s
 
@@ -554,12 +549,10 @@ def monomial_sqrt(s: Scalar, imaginary: bool = False):
     root would not parse back, and None is returned.  Float backend: the
     principal complex square root (None only for zero).
     """
-    if not isinstance(s, RatFun):
-        if s == 0:
-            return None
-        return cmath.sqrt(s)
-    if s.is_zero:
+    if not s:
         return None
+    if not isinstance(s, RatFun):
+        return cmath.sqrt(s)
     if len(s.num.terms) != 1 or len(s.den.terms) != 1:
         # the value may still be a monomial in a redundant representation
         collapsed = _monomial_quotient(s.num, s.den)
@@ -602,7 +595,9 @@ def substitute(s: RatFun, bindings: Mapping[str, Scalar], target: Field) -> Scal
     target field and stay symbolic.  Raises ZeroDivisionError when the
     denominator vanishes at the binding point, and BadBindingError when a
     bound symbol's exponent exceeds MAX_BOUND_EXPONENT or its power
-    overflows a float.
+    overflows a float.  A float denominator also vanishes when its terms
+    cancel to below their round-off, ``|den| < tol * sum |term|`` at the
+    point, so a one-term denominator vanishes only at zero.
     """
     values = {}
     for name in s.syms:
@@ -620,19 +615,20 @@ def substitute(s: RatFun, bindings: Mapping[str, Scalar], target: Field) -> Scal
         except OverflowError:
             raise BadBindingError("%s^%d overflows a float at the binding point" % (name, e)) from None
 
-    def poly_value(p: _Poly) -> Scalar:
-        acc = target.zero
+    def terms(p: _Poly) -> list:
+        out = []
         for mono, (re, im) in p.terms.items():
             c = target.from_gauss(re, im)
             for name, e in zip(s.syms, mono):
                 if e:
                     c = c * power(name, e)
-            acc = acc + c
-        return acc
+            out.append(c)
+        return out
 
-    num = poly_value(s.num)
-    den = poly_value(s.den)
-    if target.is_zero(den):
+    num = sum(terms(s.num), target.zero)
+    den_terms = terms(s.den)
+    den = sum(den_terms, target.zero)
+    if not den or not target.exact and abs(den) < target.tolerance * sum(map(abs, den_terms)):
         raise ZeroDivisionError("denominator vanishes at the binding point")
     return num * scalar_invert(den)
 
@@ -707,7 +703,7 @@ class _Parser:
         if t == ("op", "/"):
             self.pos += 1
             d = self._sum()
-            if d == 0:
+            if not d:
                 raise ZeroDivisionError("division by zero in scalar text")
             v = v / d
         if self._peek() is not None:

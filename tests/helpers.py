@@ -226,7 +226,7 @@ def use_dense_references(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # references for the exact decision shortcuts: the Yang-Baxter sides with
-# the flip as kernel steps, one braid-relation run per braid form, the flip
+# the flip as kernel steps, one braid-relation run per enhanced object, the flip
 # as a permutation matrix, the axiom products as Kronecker lifts with ENH5
 # as its own chain, and the general reduction for every denominator
 
@@ -255,11 +255,11 @@ def flip_check_qyb(r: Tensor4) -> AxiomResult:
                        "component equation fails at (a,b,c,u,v,w)=%s" % (six,))
 
 
-def each_braid_relation(pairs) -> list:
-    """The braid relation of every enhanced pair, one run each."""
+def each_braid_relation(enhanced) -> list:
+    """The braid relation of every enhanced pair and quadruple, one run each."""
     from ybtk import rmatrix
 
-    return [rmatrix._yb3(pair.s) for pair in pairs]
+    return [rmatrix._yb3(x.s) for x in enhanced]
 
 
 def flip_braid_forms(r: Tensor4):

@@ -363,6 +363,34 @@ def test_verify_zero_alpha_or_beta_exits_2(tmp_path, capsys, backend, zero):
     assert err == "input error: alpha and beta must be nonzero"
 
 
+def test_verify_float_quadruple_with_a_tiny_alpha_reports_each_axiom(tmp_path, capsys):
+    # a float alpha is zero only at 0.0, so 1e-10 below the tolerance is checked, and fails
+    field = {"backend": "float", "tolerance": 1e-9}
+    path = write_json(tmp_path / "tiny.json", dict(TRIVIAL, field=field, alpha="0.0000000001", beta="1"))
+    assert main(["verify", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "ENH1: pass (residual 0)" in captured.out.splitlines()
+    assert "ENH2: FAIL" in captured.out
+
+
+def test_numeric_binding_keeps_a_small_one_term_denominator(tmp_path, capsys):
+    # q^-40 at q = 1/2 is 2^40 over the denominator 2^-40, about 9.1e-13
+    field = {"backend": "exact", "indeterminates": ["q"], "imaginary": False}
+    path = write_json(tmp_path / "small.json", {"n": 1, "field": field, "entries": ["q^-40"]})
+    assert main(["check", path, "--numeric", "--at", "q=1/2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "biinvertible: yes" in captured.out
+
+
+def test_numeric_binding_near_a_pole_exits_2_in_one_line(tmp_path, capsys):
+    # q^2 - 2 cancels to about 4.4e-16 at the double nearest sqrt(2)
+    field = {"backend": "exact", "indeterminates": ["q"], "imaginary": False}
+    path = write_json(tmp_path / "pole.json", {"n": 1, "field": field, "entries": ["1/(q^2 - 2)"]})
+    assert main(["check", path, "--numeric", "--at", "q=1.4142135623730951"]) == 2
+    assert _one_line_input_error(capsys).strip() == "input error: denominator vanishes at the binding point"
+
+
 @pytest.mark.parametrize("empty", ["alpha", "beta"])
 def test_verify_empty_alpha_or_beta_exits_2(tmp_path, capsys, empty):
     path = write_json(tmp_path / "empty.json", dict(TRIVIAL, **{empty: ""}))

@@ -474,6 +474,16 @@ def test_quadruple_rejects_zero_alpha():
         verify_quadruple(p @ p, Mat.identity(QQ, 2), QQ.zero, QQ.one)
 
 
+def test_float_quadruple_with_a_tiny_alpha_gets_a_report():
+    # a float alpha is zero only at 0.0, not below the tolerance
+    p = permutation(C, 2)
+    report = verify_quadruple(p @ p, Mat.identity(C, 2), complex(1e-10), C.one)
+    assert report.results["YB3"].ok and report.results["ENH1"].ok
+    assert not report.results["ENH2"].ok and not report.ok
+    with pytest.raises(ValueError, match="alpha and beta must be nonzero"):
+        verify_quadruple(p @ p, Mat.identity(C, 2), C.zero, C.one)
+
+
 def test_quadruple_singular_s_raises():
     with pytest.raises(SingularMatrixError):
         verify_quadruple(
@@ -634,6 +644,23 @@ def test_full_check_report_keys():
     assert not report5.results["BIINV"].ok and not report5.ok
     report1, _ = full_check(fixture(1).r)
     assert report1.results["BIINV"].ok and not report1.results["VU_SCALAR"].ok
+
+
+def test_full_check_keeps_only_the_failing_scalar_text(monkeypatch):
+    from ybtk.rmatrix import full_check
+
+    report1, _ = full_check(fixture(1).r)
+    assert report1["VU_SCALAR"].detail == "V U is not a nonzero scalar multiple of the identity"
+    assert "VU_SCALAR: FAIL V U is not a nonzero scalar multiple of the identity" in report1.lines()
+
+    # a passing check formats no scalar: the CLI prints alpha from the outcome
+    def no_format(*_):
+        raise AssertionError("full_check formatted a scalar")
+
+    monkeypatch.setattr(Field, "format", no_format)
+    report7, outcome7 = full_check(fixture(7).r)
+    assert report7.ok and report7["VU_SCALAR"].detail == ""
+    assert outcome7.alpha is not None
 
 
 def test_uniqueness_family2_diagonal_grid():

@@ -455,6 +455,37 @@ def test_substitute_pole_raises():
         substitute(v, {"q": C.one}, C)
 
 
+def test_float_substitute_refuses_a_one_term_denominator_only_at_zero():
+    # the zero rule is ``not x``: 2^-40 is a small denominator, not a vanishing one
+    v = parse_scalar("q^-40", Q.tag)
+    assert substitute(v, {"q": C.from_fraction(Fraction(1, 2))}, C) == 2.0 ** 40
+    assert substitute(v, {"q": complex(1e-7)}, C) == pytest.approx(1e280, rel=1e-9)
+    with pytest.raises(ZeroDivisionError, match="denominator vanishes"):
+        substitute(v, {"q": C.zero}, C)
+
+
+def test_float_substitute_refuses_a_denominator_whose_terms_cancel():
+    v = parse_scalar("1/(q^2 - 2)", Q.tag)
+    # q^2 - 2 is about 4.4e-16 at the double nearest sqrt(2), against terms of size 4
+    with pytest.raises(ZeroDivisionError, match="denominator vanishes"):
+        substitute(v, {"q": complex(math.sqrt(2))}, C)
+    assert substitute(v, {"q": complex(1.5)}, C) == pytest.approx(4.0, rel=1e-12)
+    # an exact target refuses only the exact zero
+    e = Field(exact_tag())
+    near = Fraction(14142135623730951, 10 ** 16)
+    assert substitute(v, {"q": e.from_fraction(near)}, e) == e.from_fraction(1 / (near * near - 2))
+    with pytest.raises(ZeroDivisionError):
+        substitute(parse_scalar("1/(q - 1)", Q.tag), {"q": e.one}, e)
+
+
+def test_field_has_no_zero_test_of_its_own():
+    # a scalar is zero when ``not x``, on both backends
+    assert not hasattr(Field, "is_zero")
+    for field in (Q, C):
+        assert not field.zero and field.one
+    assert complex(1e-10) and q("q^-40")
+
+
 def _gauss_by_hand(field, re, im):
     """Reference for ``Field.from_gauss``: ``re`` plus ``i`` times ``im``, term by term."""
     value = field.from_fraction(re)
