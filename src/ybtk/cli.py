@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--at",
             action="append",
             metavar="sym=value",
-            help="bind an indeterminate after symbolic computation",
+            help="bind an indeterminate before any computation",
         )
         p.add_argument(
             "--numeric",

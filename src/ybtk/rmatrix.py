@@ -28,8 +28,9 @@ Given an ``n^2 x n^2`` matrix ``R``:
 The verifiers accept any invertible input and report per-axiom results;
 only ``enhance`` insists on biinvertibility.  Every axiom product is a
 slot-kernel chain on the identity (``_product``), ``mu`` a step on its own
-slot; ``S (mu (x) mu)`` and ``S^-1 (mu (x) mu)`` are one step each on the
-one state ``embed(mu, "both")``.  No Kronecker product is formed.
+slot.  Every second-trace check reads ``T± = Tr2(S^{±1}(I (x) mu))``
+(``_second_traces``); the quadruple's ENH2 reads ``T± mu``, since
+``Tr2(X (mu (x) I)) = Tr2(X) mu`` for every X.  No Kronecker product is formed.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .scalars import Scalar, monomial_sqrt, scalar_invert
-from .tensors import Mat, Tensor4, braid_sides, embed, yb_sides
+from .tensors import Mat, Tensor4, braid_sides, yb_sides
 
 __all__ = [
     "AxiomResult",
@@ -389,28 +390,19 @@ def _quadruple_report(
     """``verify_quadruple`` given S^-1 and the braid relation's result."""
     report = EnhancementReport()
     report.results["YB3"] = yb3
-    mumu = embed(mu, "both")
-    s_mumu = s @ mumu
-    report.results["ENH1"] = _enh1(s, mu, s_mumu)
-
-    inv_alpha = scalar_invert(alpha)
-    plus = _compare(
-        s_mumu.partial_trace2(),
-        mu.scale(alpha * beta),
-        "positive-sign trace normalisation",
+    report.results["ENH1"] = _enh1(s, mu)
+    traces = _second_traces(s, mu, s_inv)
+    plus, minus = alpha * beta, scalar_invert(alpha) * beta
+    # Tr2(S^{±1} (mu (x) mu)) = T± mu
+    report.results["ENH2"] = _both(
+        _compare(traces[0] @ mu, mu.scale(plus), "positive-sign trace normalisation"),
+        _compare(traces[1] @ mu, mu.scale(minus), "negative-sign trace normalisation"),
     )
-    minus = _compare(
-        (s_inv @ mumu).partial_trace2(),
-        mu.scale(inv_alpha * beta),
-        "negative-sign trace normalisation",
-    )
-    report.results["ENH2"] = _both(plus, minus)
-
     try:
         mu.inverse()
     except SingularMatrixError:
         return report
-    report.results["ENH3"] = _enh3(s, mu, s_inv, alpha * beta, inv_alpha * beta)
+    report.results["ENH3"] = _enh3(traces, plus, minus)
     report.agreements["ENH2~ENH3"] = (
         report.results["ENH2"].ok == report.results["ENH3"].ok
     )
@@ -430,8 +422,8 @@ def _pair_report(s: Tensor4, mu: Mat, s_inv: Tensor4, yb3: AxiomResult) -> Enhan
     f = s.field
     report = EnhancementReport()
     report.results["YB3"] = yb3
-    report.results["ENH1"] = _enh1(s, mu, s @ embed(mu, "both"))
-    report.results["ENH3"] = _enh3(s, mu, s_inv, f.one, f.one)
+    report.results["ENH1"] = _enh1(s, mu)
+    report.results["ENH3"] = _enh3(_second_traces(s, mu, s_inv), f.one, f.one)
     eye2 = Mat.identity(f, s.n * s.n)
     for name, products in zip(("ENH4", "ENH5"), _enh4_enh5_products(s, mu, s_inv)):
         report.results[name] = _both(*[_compare(x, eye2) for x in products])
@@ -450,20 +442,22 @@ def _product(s: Tensor4, *factors) -> Tensor4:
     return Tensor4(s.n, eye.apply_slots(s.n, factors[::-1]))
 
 
-def _enh1(s: Tensor4, mu: Mat, s_mumu: Tensor4) -> AxiomResult:
-    """ENH1, ``S (mu (x) mu) = (mu (x) mu) S``, given its left side."""
-    mumu_s = _product(s, (mu, 0), (mu, 1), (s.mat, 0))
-    return _compare(s_mumu.mat, mumu_s.mat, "S does not commute with mu(x)mu")
+def _enh1(s: Tensor4, mu: Mat) -> AxiomResult:
+    """ENH1, ``S (mu (x) mu) = (mu (x) mu) S``."""
+    return _compare(_product(s, (s.mat, 0), (mu, 0), (mu, 1)).mat,
+                    _product(s, (mu, 0), (mu, 1), (s.mat, 0)).mat, "S does not commute with mu(x)mu")
 
 
-def _enh3(s: Tensor4, mu: Mat, s_inv: Tensor4, plus: Scalar, minus: Scalar) -> AxiomResult:
-    """ENH3, ``Tr2(S^{±1} (I (x) mu)) = plus I`` and ``minus I``."""
-    eye = Mat.identity(s.field, s.n)
-    return _both(
-        _compare(_product(s, (s.mat, 0), (mu, 1)).partial_trace2(), eye.scale(plus), "positive sign"),
-        _compare(_product(s, (s_inv.mat, 0), (mu, 1)).partial_trace2(), eye.scale(minus),
-                 "negative sign"),
-    )
+def _second_traces(s: Tensor4, mu: Mat, s_inv: Tensor4) -> tuple[Mat, Mat]:
+    """``T± = Tr2(S^{±1} (I (x) mu))``, each one kernel chain and a cap step."""
+    return tuple(_product(s, (x.mat, 0), (mu, 1)).partial_trace2() for x in (s, s_inv))
+
+
+def _enh3(traces: tuple[Mat, Mat], plus: Scalar, minus: Scalar) -> AxiomResult:
+    """ENH3, ``T+ = plus I`` and ``T- = minus I``."""
+    eye = Mat.identity(traces[0].field, traces[0].rows)
+    return _both(_compare(traces[0], eye.scale(plus), "positive sign"),
+                 _compare(traces[1], eye.scale(minus), "negative sign"))
 
 
 def _enh4_enh5_products(s: Tensor4, mu: Mat, s_inv: Tensor4) -> tuple[list[Mat], list[Mat]]:
@@ -550,17 +544,15 @@ def trace_identities(r: Tensor4) -> dict[str, AxiomResult]:
     the two inverse-sign identities also need the equation.
     """
     u, v = compute_uv(r)
-    pr, rp = braid_forms(r)
+    # (PR)^-1 and (RP)^-1 are the braid forms of R^-1 in reverse order
+    inverses = braid_forms(r.inverse())[::-1]
+    pr, rp = [_second_traces(s, mu, s_inv) for s, mu, s_inv in zip(braid_forms(r), (u, v), inverses)]
     eye = Mat.identity(r.field, r.n)
-
-    def tr2(first: Tensor4, second: Mat) -> Mat:
-        return _product(r, (first.mat, 0), (second, 1)).partial_trace2()
-
     return {
-        "Tr2(PR U2) = I": _compare(tr2(pr, u), eye),
-        "Tr2(RP V2) = I": _compare(tr2(rp, v), eye),
-        "Tr2((PR)^-1 U2) = UV": _compare(tr2(pr.inverse(), u), u @ v),
-        "Tr2((RP)^-1 V2) = VU": _compare(tr2(rp.inverse(), v), v @ u),
+        "Tr2(PR U2) = I": _compare(pr[0], eye),
+        "Tr2(RP V2) = I": _compare(rp[0], eye),
+        "Tr2((PR)^-1 U2) = UV": _compare(pr[1], u @ v),
+        "Tr2((RP)^-1 V2) = VU": _compare(rp[1], v @ u),
     }
 
 

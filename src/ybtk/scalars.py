@@ -594,10 +594,11 @@ def substitute(s: RatFun, bindings: Mapping[str, Scalar], target: Field) -> Scal
     Symbols missing from ``bindings`` must be indeterminates of the
     target field and stay symbolic.  Raises ZeroDivisionError when the
     denominator vanishes at the binding point, and BadBindingError when a
-    bound symbol's exponent exceeds MAX_BOUND_EXPONENT or its power
-    overflows a float.  A float denominator also vanishes when its terms
-    cancel to below their round-off, ``|den| < tol * sum |term|`` at the
-    point, so a one-term denominator vanishes only at zero.
+    bound symbol's exponent exceeds MAX_BOUND_EXPONENT, its power
+    overflows a float or the float value is not finite.  A float
+    denominator also vanishes when its terms cancel to below their
+    round-off, ``|den| < tol * sum |term|`` at the point, so a one-term
+    denominator vanishes only at zero.
     """
     values = {}
     for name in s.syms:
@@ -630,7 +631,10 @@ def substitute(s: RatFun, bindings: Mapping[str, Scalar], target: Field) -> Scal
     den = sum(den_terms, target.zero)
     if not den or not target.exact and abs(den) < target.tolerance * sum(map(abs, den_terms)):
         raise ZeroDivisionError("denominator vanishes at the binding point")
-    return num * scalar_invert(den)
+    value = num * scalar_invert(den)
+    if not target.exact and not cmath.isfinite(value):
+        raise BadBindingError("value is not finite at the binding point")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -785,12 +789,15 @@ class _Parser:
 
 
 def parse_scalar(text: str, tag: FieldTag | Field) -> Scalar:
-    """Parse scalar text under the given field tag."""
+    """Parse scalar text under the given field tag; a float value must be finite."""
     field = tag if isinstance(tag, Field) else Field(tag)
     tokens = _tokenize(text)
     if not tokens:
         raise ScalarSyntaxError("empty scalar text")
-    return _Parser(tokens, field).parse()
+    value = _Parser(tokens, field).parse()
+    if not field.exact and not cmath.isfinite(value):
+        raise ScalarSyntaxError("value is not finite on the float backend")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,18 @@ def kron_enh4_enh5_products(s: Tensor4, mu: Mat, s_inv: Tensor4):
     return [enh4(s_inv, s), enh4(s, s_inv)], [enh5(s, s_inv), enh5(s_inv, s)]
 
 
+def kron_mumu_traces(s: Tensor4, mu: Mat) -> list[Mat]:
+    """``Tr2(S^{±1} (mu (x) mu))`` on the Kronecker ``mu (x) mu``, each
+    second trace summed entry by entry: the quadruple's ENH2 left sides
+    as they were built before ENH2 was read off ENH3's traces."""
+    f, n, mumu = s.field, s.n, kron_embed(mu, "both")
+    out = []
+    for x in (s, s.inverse()):
+        t = x @ mumu
+        out.append(Mat.build(f, n, n, lambda a, c: sum((t.entry(a, b, c, b) for b in range(n)), f.zero)))
+    return out
+
+
 def use_decision_references(monkeypatch):
     """Route the exact decision shortcuts through the references above."""
     from ybtk import rmatrix, scalars
@@ -369,7 +381,6 @@ def use_decision_references(monkeypatch):
     monkeypatch.setattr(rmatrix, "_braid_relations", each_braid_relation)
     monkeypatch.setattr(rmatrix, "braid_forms", flip_braid_forms)
     monkeypatch.setattr(rmatrix, "_product", kron_product)
-    monkeypatch.setattr(rmatrix, "embed", kron_embed)
     monkeypatch.setattr(rmatrix, "_enh4_enh5_products", kron_enh4_enh5_products)
     monkeypatch.setattr(scalars, "_reduce", general_reduce)
 

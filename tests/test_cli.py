@@ -391,6 +391,24 @@ def test_numeric_binding_near_a_pole_exits_2_in_one_line(tmp_path, capsys):
     assert _one_line_input_error(capsys).strip() == "input error: denominator vanishes at the binding point"
 
 
+def test_numeric_binding_to_a_value_that_overflows_exits_2_in_one_line(tmp_path, capsys):
+    # q = 10^308 is a finite double, but 3*q overflows to inf
+    field = {"backend": "exact", "indeterminates": ["q"], "imaginary": False}
+    path = write_json(tmp_path / "big.json", {"n": 1, "field": field, "entries": ["3*q"]})
+    assert main(["check", path, "--numeric", "--at", "q=1" + "0" * 308]) == 2
+    assert _one_line_input_error(capsys).strip() == "input error: value is not finite at the binding point"
+
+
+def test_float_entry_that_overflows_exits_2_in_one_line(tmp_path, capsys):
+    # each 200-digit literal is a finite double, their product is inf
+    text = "1" + "2" * 199 + "*3" + "4" * 199
+    path = write_json(tmp_path / "huge.json", {"n": 1, "field": {"backend": "float", "tolerance": 1e-9},
+                                               "entries": [text]})
+    assert main(["check", path]) == 2
+    assert _one_line_input_error(capsys).strip() == (
+        "input error: bad scalar %r: value is not finite on the float backend" % text)
+
+
 @pytest.mark.parametrize("empty", ["alpha", "beta"])
 def test_verify_empty_alpha_or_beta_exits_2(tmp_path, capsys, empty):
     path = write_json(tmp_path / "empty.json", dict(TRIVIAL, **{empty: ""}))

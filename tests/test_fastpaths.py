@@ -9,6 +9,7 @@ the braid form, the flip as an index map, ENH5 read off ENH4's
 products, and the one-pass reduction.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from helpers import (
     flip_yb_sides,
     general_reduce,
     kron_enh4_enh5_products,
+    kron_mumu_traces,
     perturbed,
     sl_n_r,
     use_dense_references,
@@ -285,22 +287,23 @@ def test_index_map_operands_equal_the_permutation_products(backend):
             _same_operands(transposed, flip_enh5_factors(other, first), name)
 
 
-def _enhanced_pairs_and_changed(cases):
-    """Each enhanced pair of the ``(name, R)`` cases, and the pair with S changed."""
+def _enhanced_and_changed(cases, kind="pairs"):
+    """Each enhanced pair (or quadruple) of the ``(name, R)`` cases, and the
+    object with S changed."""
     for name, r in cases:
         try:
-            pairs = enhance(r).pairs
+            enhanced = getattr(enhance(r), kind)
         except ToolkitError:
             continue
-        for pair in pairs:
-            label = "%s %s" % (name, pair.provenance)
-            yield label, pair.s, pair.mu
-            yield label + "-changed", perturbed(pair.s), pair.mu
+        for x in enhanced:
+            label = "%s %s" % (name, x.provenance)
+            yield label, x.s, x.mu
+            yield label + "-changed", perturbed(x.s), x.mu
 
 
 def test_transposed_enh4_products_equal_the_enh5_chain():
     failing = 0
-    for label, s, mu in _enhanced_pairs_and_changed(_catalog_and_sl()):
+    for label, s, mu in _enhanced_and_changed(_catalog_and_sl()):
         enh4, enh5 = rmatrix._enh4_enh5_products(s, mu, s.inverse())
         _, want = kron_enh4_enh5_products(s, mu, s.inverse())
         for got, ref in zip(enh5, want):
@@ -311,7 +314,7 @@ def test_transposed_enh4_products_equal_the_enh5_chain():
 
 @pytest.mark.parametrize("q", [0.5, 2, 7.5])
 def test_float_enh5_read_off_enh4_matches_the_enh5_chain(q):
-    for label, s, mu in _enhanced_pairs_and_changed(("sl%d" % n, sl_n_r(Q, n)) for n in (3, 4, 5)):
+    for label, s, mu in _enhanced_and_changed(("sl%d" % n, sl_n_r(Q, n)) for n in (3, 4, 5)):
         s = Tensor4(s.n, s.mat.evaluate({"q": q}, C))
         mu = mu.evaluate({"q": q}, C)
         eye = Mat.identity(C, s.n * s.n)
@@ -320,6 +323,34 @@ def test_float_enh5_read_off_enh4_matches_the_enh5_chain(q):
         for got, ref in zip(enh5, want):
             (ok, residual, _), (ref_ok, ref_residual, _) = got.compare(eye), ref.compare(eye)
             assert ok == ref_ok and abs(residual - ref_residual) <= 1e-12, label
+
+
+# ENH2 read off ENH3's traces: Tr2(S^{±1} (mu (x) mu)) = T± mu
+
+
+def test_enh2_read_off_the_second_traces_equals_the_kronecker_traces():
+    moved = 0
+    for label, s, mu in _enhanced_and_changed(_catalog_and_sl(), "quadruples"):
+        got = [t @ mu for t in rmatrix._second_traces(s, mu, s.inverse())]
+        want = kron_mumu_traces(s, mu)
+        for a, b in zip(got, want):
+            assert all(x == y for ra, rb in zip(a.tolist(), b.tolist()) for x, y in zip(ra, rb)), label
+        if label.endswith("-changed"):
+            moved += any(not a.eq(b) for a, b in zip(got, unchanged))
+        unchanged = got
+    assert moved  # changing S moves the traces, so the inputs are not all alike
+
+
+@pytest.mark.parametrize("q", [0.5, 2, 7.5])
+def test_float_enh2_read_off_the_second_traces_matches_the_kronecker_traces(q):
+    cases = (("sl%d" % n, sl_n_r(Q, n)) for n in (3, 4, 5))
+    for label, s, mu in _enhanced_and_changed(cases, "quadruples"):
+        s = Tensor4(s.n, s.mat.evaluate({"q": q}, C))
+        mu = mu.evaluate({"q": q}, C)
+        got = [t @ mu for t in rmatrix._second_traces(s, mu, s.inverse())]
+        for a, b in zip(got, kron_mumu_traces(s, mu)):
+            a, b = np.array(a.tolist()), np.array(b.tolist())
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b))), label
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ TRICKY = [
     "q^2^3", "(q", "q)", "((q))", "q/(q-q)", "1/(q-1)", "p*q^-1", "2q", "3/2q",
     "²", "٣", "nan", "inf", "-inf", "\x00", "q=2", "=", "s0", "s-1", "strands=",
     "strands=0", "strands=99999999", "strands=" + "9" * 30, "cup", "cap-", "x+",
+    "1" * 200 + "*" + "9" * 200, "1" + "0" * 308,
 ]
 ALPHABET = "0123456789 +-*/^().=,'\nqpsiux²٣é\x00"
 

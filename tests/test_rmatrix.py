@@ -367,9 +367,12 @@ def test_enhance_forms_two_full_size_inverses(monkeypatch):
 
 def test_decisions_build_the_yb_sides_once_and_no_kronecker_product(monkeypatch):
     # check_qyb's sides are yb_sides'; every axiom product behind check,
-    # enhance and verify is a kernel chain, mu a step on its own slot
+    # enhance and verify is a kernel chain, mu a step on its own slot, so
+    # no embedding and no Tensor4 @ Tensor4 product is formed
     sides = counting(monkeypatch, rmatrix, "yb_sides")
     krons = counting(monkeypatch, Mat, "kron")
+    embeds = counting(monkeypatch, tensors, "embed")
+    tensor4_products = counting(monkeypatch, Tensor4, "__matmul__")
     r = sl_n_r(Field(exact_tag("q")), 3)
     assert check_qyb(r).ok
     assert len(sides) == 1
@@ -380,6 +383,7 @@ def test_decisions_build_the_yb_sides_once_and_no_kronecker_product(monkeypatch)
     for quad in result.quadruples:
         assert verify_quadruple(quad.s, quad.mu, quad.alpha, quad.beta).ok
     assert len(sides) == 2 and krons == []
+    assert embeds == [] and tensor4_products == [] and not hasattr(rmatrix, "embed")
 
 
 def test_shared_inverses_of_the_braid_forms():
