@@ -41,7 +41,8 @@ list builds on the identity of ``(C^n)^(x m)``, the Markov trace behind
 ``turaev``.  The exact backend sums the diagonal of the product.  The
 float backend allocates no full state.  Leading diagonal one-slot
 steps (``mu^T`` on every slot, for a diagonal ``mu``) become the scale of
-the starting identity columns.  The other steps then decide the path:
+the starting identity columns.  The other steps then decide the path,
+and are fused before it runs:
 
 * Sectors.  Link two states when some step operator, on any slots, has
   a nonzero off-diagonal entry between them.  Each connected component
@@ -55,6 +56,18 @@ the starting identity columns.  The other steps then decide the path:
   gives two halves.
 * Dense.  With one sector, or a step that changes the factor count, the
   columns of the whole space run the steps and keep their diagonal.
+* Fusion (``_fuse``), on either path.  Each run of square steps that
+  fits in a window of ``_FUSE_SLOTS`` = 3 slots is multiplied into one
+  operator by ``apply_slots`` on the window's identity; a step may move
+  past earlier steps on disjoint slots, since those commute with it.  A
+  fused operator is kept only when the path's own cost says it costs no
+  more than its parts: ``1 + 3 * (most off-diagonal nonzeros in a row)``
+  passes per state on the sector path (the diagonal multiply, then a
+  gather, a multiply and an add per term), ``op.cols`` multiplies per
+  entry on the dense one.  The sectors are found before the fusion, and
+  a product of operators that keep each sector keeps it too.  Exact
+  traces are not fused: the order of additions decides their printed
+  form.
 
 An exact ``Mat`` stores only its nonzero entries, as ``{row: {col: x}}``
 dicts with no empty row, so the exact kernel runs on the matrix itself
@@ -99,6 +112,9 @@ _BLOCK_ENTRIES = 1 << 17
 # block, and ran about 8% faster at 2^15 or 2^16 entries than at 2^17 on
 # 2 cores with 2 MB of L2 cache each; 2^15 also holds 6 MB less.
 _SECTOR_BLOCK_ENTRIES = 1 << 15
+# The widest operator, in slots, that the float trace fuses neighbouring
+# steps into (see _fuse): an n^3 x n^3 operator.
+_FUSE_SLOTS = 3
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOL = None
 
@@ -642,6 +658,50 @@ def _gather_maps(n: int, m: int, op, first: int, order, local_pos):
     return loc.astype(np.min_scalar_type(k - 1)), diag, idx, coef
 
 
+def _gather_cost(op) -> int:
+    """Passes per state of one sector-graded step: the diagonal multiply,
+    then a gather, a multiply and an add per off-diagonal term."""
+    a = op._a
+    return 1 + 3 * int((np.count_nonzero(a, axis=1) - (np.diagonal(a) != 0)).max())
+
+
+def _fuse(n: int, steps, cost) -> list:
+    """Runs of square steps multiplied into operators of at most ``_FUSE_SLOTS`` slots.
+
+    Each step joins the last group of steps whose slots meet its own,
+    moving past the later groups: their slots are disjoint from its own,
+    so they commute with it.  The group's product, built by
+    ``apply_slots`` on the identity of its window, is kept when its
+    ``cost`` is no more than that of the group and the step apart;
+    otherwise the step starts a group.  Steps that change the factor
+    count or whose size is not a power of n, and n = 1, leave the list
+    as it is.
+    """
+    if n < 2 or any(op.rows != op.cols for op, _ in steps):
+        return steps
+    groups: list = []  # [op, lo, hi, cost]: op acts on the slots lo .. hi - 1
+    costs: dict = {}  # per step operator; a word repeats a few letters
+    for op, first in steps:
+        k = round(np.log(op.cols) / np.log(n))
+        if n ** k != op.cols:
+            return steps
+        if op not in costs:
+            costs[op] = cost(op)
+        lo, hi = first, first + k
+        g = next((g for g in reversed(groups) if g[1] < hi and lo < g[2]), None)
+        if g is not None:
+            a, b = min(lo, g[1]), max(hi, g[2])
+            if b - a <= _FUSE_SLOTS:
+                eye = Mat.identity(op.field, n ** (b - a))
+                fused = eye.apply_slots(n, [(g[0], g[1] - a), (op, first - a)])
+                c = cost(fused)
+                if c <= g[3] + costs[op]:
+                    g[:] = fused, a, b, c
+                    continue
+        groups.append([op, lo, hi, costs[op]])
+    return [(g[0], g[1]) for g in groups]
+
+
 def _sector_trace(n: int, m: int, steps, start, order, sizes) -> complex:
     """The float trace as a sum over sectors, each an ``L x L`` block.
 
@@ -715,19 +775,24 @@ def slot_trace(field: Field, n: int, m: int, steps) -> Scalar:
     several sectors (``_sectors``), the state is block-diagonal by sector
     and each sector is traced on its own; otherwise, or when a step
     changes the factor count, the columns of the whole space run through
-    ``_column_blocks``.
+    ``_column_blocks``.  On either path, neighbouring square steps are
+    first multiplied into operators of at most 3 slots (``_fuse``) where
+    that path's cost per state, ``_gather_cost`` or ``op.cols``, is no
+    more than that of the parts.
     """
     dim = n ** m
-    plan, rows, peak = _plan(n, dim, steps)
+    _, rows, peak = _plan(n, dim, steps)
     if rows != dim:
         raise ValueError("a traced product must keep the factor count")
     if field.exact:
         return Mat.identity(field, dim).apply_slots(n, steps).trace()
     start, folded = _leading_diagonal(n, m, steps)
-    steps, plan = steps[folded:], plan[folded:]
+    steps = steps[folded:]
     order, sizes = _sectors(n, m, [op for op, _ in steps])
     if len(sizes) > 1:
-        return _sector_trace(n, m, steps, start, order, sizes)
+        return _sector_trace(n, m, _fuse(n, steps, _gather_cost), start, order, sizes)
+    steps = _fuse(n, steps, lambda op: op.cols)
+    plan = _plan(n, dim, steps)[0]
 
     def diagonal(c0, c1):
         cols = np.arange(c1 - c0)

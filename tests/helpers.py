@@ -361,6 +361,13 @@ def kron_enh4_enh5_products(s: Tensor4, mu: Mat, s_inv: Tensor4):
     return [enh4(s_inv, s), enh4(s, s_inv)], [enh5(s, s_inv), enh5(s_inv, s)]
 
 
+def kron_enh5_holds(s: Tensor4, mu: Mat) -> bool:
+    """ENH5's verdict from its own Kronecker chain, which shares no product
+    with ENH4's: both products equal the identity."""
+    eye = Mat.identity(s.field, s.n * s.n)
+    return all(x.eq(eye) for x in kron_enh4_enh5_products(s, mu, s.inverse())[1])
+
+
 def kron_mumu_traces(s: Tensor4, mu: Mat) -> list[Mat]:
     """``Tr2(S^{±1} (mu (x) mu))`` on the Kronecker ``mu (x) mu``, each
     second trace summed entry by entry: the quadruple's ENH2 left sides

@@ -395,3 +395,124 @@ def test_sectors_of_the_catalog(m):
     if m > 1:
         for n, op in [(2, rand_pair(rng, C, 2)[0].mat), (3, rand_pair(rng, C, 3)[0].mat)]:
             assert tensors._sectors(n, m, [op])[1].tolist() == [n ** m]
+
+
+# ---------------------------------------------------------------------------
+# fusion of neighbouring steps before the float trace
+
+
+def gauged_family7():
+    """``(A (x) A) S (A (x) A)^-1`` and ``A mu A^-1`` for family 7's pair:
+    one sector, so the trace takes the dense path."""
+    inp = float_family_pair(7)
+    a = Mat.from_rows(C, [[1, 0.5], [0.3j, 1.2]])
+    aa = Mat.identity(C, 4).apply_slots(2, [(a, 1), (a, 0)])
+    return InvariantInput(Tensor4(2, aa @ inp.s.mat @ aa.inverse()), a @ inp.mu @ a.inverse(),
+                          inp.alpha, inp.beta)
+
+
+def sl_float_input(n):
+    s, _ = braid_forms(Tensor4(n, sl_n_r(Q, n).mat.evaluate({"q": complex(0.9, 0.4)}, C)))
+    mu = Mat.from_rows(C, [[complex(1.1 + 0.2 * i, 0.1 * i) if i == j else 0 for j in range(n)]
+                           for i in range(n)])
+    return InvariantInput(s, mu, C.one, C.one)
+
+
+FUSION_INPUTS = {
+    "family7": (lambda: float_family_pair(7), 9),
+    "family9": (lambda: float_family_pair(9), 9),
+    "family2": (lambda: float_family_pair(2), 9),
+    "gauged_family7": (gauged_family7, 9),
+    "sl3": (lambda: sl_float_input(3), 5),
+    "sl4": (lambda: sl_float_input(4), 4),
+}
+
+
+def fusion_words(m):
+    """Random words, and one whose letters interleave commuting indices."""
+    rng = random.Random(1800 + m)
+    interleaved = [(i, e) for k in range(3) for i, e in ((1, 1), (3, -1), (2, 1), (m - 1, 1 - 2 * (k % 2)))]
+    return [rand_word(rng, m, 12), rand_word(rng, m, 3 * m), BraidWord(m, tuple(interleaved))]
+
+
+@pytest.mark.parametrize("name", sorted(FUSION_INPUTS))
+def test_fused_trace_matches_unfused_trace(two_workers, monkeypatch, name):
+    make, m = FUSION_INPUTS[name]
+    inp = make()
+    words = fusion_words(m)
+    fused = [turaev(inp, word) for word in words]
+    assert [turaev(inp, word) for word in words] == fused  # bitwise
+    counts = []
+    fuse = tensors._fuse
+    monkeypatch.setattr(tensors, "_fuse", lambda n, steps, cost: counts.append(
+        (len(steps), len(fuse(n, steps, cost)))) or fuse(n, steps, cost))
+    turaev(inp, words[1])
+    assert counts[0][1] < counts[0][0]  # some steps were fused
+    monkeypatch.setattr(tensors, "_fuse", lambda n, steps, cost: steps)
+    for word, got in zip(words, fused):
+        want = turaev(inp, word)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), word
+
+
+def _random_steps(rng, n, m, count):
+    ops = [rand_pair(rng, C, n)[0].mat for _ in range(2)] + [rand_invertible(rng, C, n)]
+    steps = []
+    for _ in range(count):
+        op = rng.choice(ops)
+        k = 2 if op.rows == n * n else 1
+        steps.append((op, rng.randrange(m - k + 1)))
+    return steps
+
+
+@pytest.mark.parametrize("n,m", [(2, 6), (3, 4)])
+def test_fusion_keeps_the_product_and_never_raises_the_cost(n, m):
+    rng = random.Random(1900 + n)
+    # sparse two-slot steps, where the sector cost decides; a diagonal one
+    # costs 1 however wide, so only the window caps its fusions
+    sparse = [Mat.from_rows(C, [[complex(1 + i, 0.5) if i == j else 0 for j in range(n * n)]
+                                for i in range(n * n)])]
+    if n == 2:
+        sparse.append(float_family_pair(7).s.mat)
+    for trial in range(9):
+        steps = _random_steps(rng, n, m, 10)
+        if trial % 3:
+            two_slot = sparse[trial % len(sparse)]
+            steps = [(two_slot, first) if op.rows == n * n else (op, first) for op, first in steps]
+        want = Mat.identity(C, n ** m).apply_slots(n, steps)
+        for cost in (tensors._gather_cost, lambda op: op.cols):
+            fused = tensors._fuse(n, steps, cost)
+            assert sum(cost(op) for op, _ in fused) <= sum(cost(op) for op, _ in steps)
+            assert max(op.cols for op, _ in fused) <= n ** tensors._FUSE_SLOTS
+            assert Mat.identity(C, n ** m).apply_slots(n, fused).compare(want)[1] <= 1e-12
+
+
+def test_a_step_moves_past_disjoint_steps_only():
+    rng = random.Random(2000)
+    a, b, c = (rand_pair(rng, C, 2)[0].mat for _ in range(3))
+    cols = lambda op: op.cols  # noqa: E731
+    # s1 s3 s1: the second s1 moves past s3, which commutes with it
+    fused = tensors._fuse(2, [(a, 0), (b, 2), (a, 0)], cols)
+    assert [(op.rows, first) for op, first in fused] == [(4, 0), (4, 2)]
+    assert fused[0][0].compare(a @ a)[0] and fused[1][0] is b
+    # s1 s2 s3 s1: s3 would widen s1 s2's window to 4 slots, so it starts
+    # a group, and the last s1 moves past it into the first window
+    fused = tensors._fuse(2, [(a, 0), (b, 1), (c, 2), (a, 0)], cols)
+    assert [(op.rows, first) for op, first in fused] == [(8, 0), (4, 2)]
+    # s1 s3 s2 s1: s2 joins s3, and the last s1 meets that window, so it stays last
+    steps = [(a, 0), (c, 2), (b, 1), (a, 0)]
+    fused = tensors._fuse(2, steps, cols)
+    assert [(op.rows, first) for op, first in fused] == [(4, 0), (8, 1), (4, 0)]
+    eye = Mat.identity(C, 16)
+    assert eye.apply_slots(2, fused).compare(eye.apply_slots(2, steps))[1] <= 1e-12
+
+
+def test_fusion_leaves_factor_changes_and_n1_alone():
+    cup = Mat.identity(C, 2).reshape(4, 1)
+    cap = Mat.identity(C, 2).reshape(1, 4)
+    s = float_family_pair(7).s.mat
+    steps = [(s, 0), (cup, 1), (s, 0), (cap, 1), (s, 0)]
+    assert tensors._fuse(2, steps, lambda op: op.cols) is steps
+    one = Mat.from_rows(C, [[2.0]])
+    steps = [(one, 0), (one, 1), (one, 0)]
+    assert tensors._fuse(1, steps, tensors._gather_cost) is steps
+    assert slot_trace(C, 1, 3, steps) == 8
