@@ -59,9 +59,11 @@ __all__ = [
 DEFAULT_MAX_STRANDS = 12
 # the largest braid state the default strand cap allows, at any n
 MAX_TANGLE_ENTRIES = 4 ** DEFAULT_MAX_STRANDS
+# one (index, sign) pair per letter up to index 64, shared by every word
+_LETTERS = {(i, e): (i, e) for i in range(1, 65) for e in (1, -1)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BraidWord:
     """A braid group element as a word: strand count and signed letters."""
 
@@ -71,7 +73,7 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 1:
             raise ValueError("a braid needs at least one strand")
-        object.__setattr__(self, "letters", tuple(tuple(l) for l in self.letters))
+        object.__setattr__(self, "letters", tuple(_LETTERS.get(l, l) for l in map(tuple, self.letters)))
         for idx, eps in self.letters:
             if not 1 <= idx <= self.strands - 1:
                 raise ValueError(

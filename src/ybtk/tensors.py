@@ -44,16 +44,15 @@ steps (``mu^T`` on every slot, for a diagonal ``mu``) become the scale of
 the starting identity columns.  The other steps then decide the path,
 and are fused before it runs:
 
-* Sectors.  Link two states when some step operator, on any slots, has
-  a nonzero off-diagonal entry between them.  Each connected component
-  of these links is a sector that every step maps into itself, so the
-  product is block-diagonal by sector.  States are ordered sector by
-  sector and each sector's ``L x L`` block is traced on its own; a step
+* Sectors.  Link two states when a step, at its own slots, has a
+  nonzero off-diagonal term (``_terms``) between them.  Each connected
+  component of these links is a sector that every step maps into
+  itself, so each sector's ``L x L`` block is traced on its own; a step
   is a multiply by the operator's diagonal plus one row gather per
   off-diagonal term.  For U_q(sl_n) and catalog family 7 the sectors
-  are the weight spaces: at n = 2, m = 12 they hold C(24, 12) = 2.7 M
-  entries against 4^12 = 16.8 M.  A Z/2 parity, as in families 6 and 9,
-  gives two halves.
+  are the weight spaces (at n = 2, m = 12, C(24, 12) = 2.7 M entries
+  against 4^12 = 16.8 M), or products of them when a word skips a
+  generator.  A Z/2 parity, as in families 6 and 9, gives two halves.
 * Dense.  With one sector, or a step that changes the factor count, the
   columns of the whole space run the steps and keep their diagonal.
 * Fusion (``_fuse``), on either path.  Each run of square steps that
@@ -371,9 +370,6 @@ class Mat:
     def eq(self, other: "Mat") -> bool:
         return self.compare(other)[0]
 
-    def is_identity(self) -> bool:
-        return self.square and self.eq(Mat.identity(self.field, self.rows))
-
     def _check_shape(self, other: "Mat"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("matrix shape mismatch")
@@ -589,40 +585,47 @@ def _leading_diagonal(n: int, m: int, steps):
     return functools.reduce(np.kron, factors, np.ones(1, dtype=complex)), count
 
 
-def _sectors(n: int, m: int, ops):
+def _terms(a):
+    """Per off-diagonal term ``t`` of a square array, each row ``i``'s source
+    column ``src[t, i]`` (its ``t``-th off-diagonal nonzero, in column
+    order, else ``i``) and its entry ``coef[t, i]`` (0 for ``i``)."""
+    k = len(a)
+    off = np.where(np.eye(k, dtype=bool), 0, a)
+    rows, cols = np.nonzero(off)
+    counts = np.bincount(rows, minlength=k)
+    src = np.tile(np.arange(k), (counts.max(initial=0), 1))
+    src[np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts), rows] = cols
+    return src, off[np.arange(k), src]
+
+
+def _sectors(n: int, m: int, steps):
     """The states of (C^n)^(x m) in sector-major order, and the sector sizes.
 
-    Two states are linked when an operator in ``ops``, on any slots, has
-    a nonzero off-diagonal entry between them; a sector is a connected
-    component of these links, so every operator maps a sector into itself
-    wherever it acts.  Components are labelled by their least state
-    through min-label passes with pointer jumping.  States keep their
-    order inside a sector.  Operators that change the factor count give
-    one sector.
+    Two states are linked when a step ``(op, first)`` has a nonzero
+    off-diagonal entry between them at its own slots, one map set per
+    distinct symmetrised support and slot; a sector is a connected
+    component of these links, so every step maps it into itself.
+    Components are labelled by their least state through min-label
+    passes with pointer jumping, and keep their order of states.  Steps
+    that change the factor count give one sector.
     """
     dim = n ** m
     states = np.arange(dim)
-    if any(op.rows != op.cols for op in ops):
+    if any(op.rows != op.cols for op, _ in steps):
         return states, np.array([dim])
-    supports: dict = {}
-    for op in ops:
-        link = supports.setdefault(op.cols, np.zeros((op.cols, op.cols), dtype=bool))
-        link |= (op._a != 0) | (op._a.T != 0)
-    maps = []
-    for k, link in supports.items():
+    maps: dict = {}
+    for op, first in steps:
+        link = (op._a != 0) | (op._a.T != 0)
         np.fill_diagonal(link, False)
-        cols = [np.flatnonzero(row) for row in link]
-        for t in range(max(len(c) for c in cols)):
-            src = np.array([c[t] if t < len(c) else i for i, c in enumerate(cols)])
-            rest = 1
-            while rest * k <= dim:
-                loc = states // rest % k
-                maps.append(states + (src[loc] - loc) * rest)
-                rest *= n
+        key = (link.tobytes(), first)
+        if key not in maps:
+            rest = dim // (n ** first * op.cols)
+            loc = states // rest % op.cols
+            maps[key] = states + (_terms(link)[0][:, loc] - loc) * rest
     label = states
     while True:
         new = label.copy()
-        for idx in maps:
+        for idx in (i for links in maps.values() for i in links):
             np.minimum(new, new[idx], out=new)
         new = new[new]
         if np.array_equal(new, label):
@@ -637,25 +640,16 @@ def _gather_maps(n: int, m: int, op, first: int, order, local_pos):
 
     Returns, in sector-major order, each state's local digit ``loc`` (the
     row of ``op`` it sits on), the diagonal of ``op``, and per
-    off-diagonal term ``t`` the sector-local source row ``idx[t]`` and
-    the coefficients ``coef[t]`` indexed by local digit.  Row ``r`` of a
-    step's output is ``diag[loc[r]] x[r] + sum_t coef[t][loc[r]] x[idx[t, r]]``;
-    a row with fewer terms gathers itself with coefficient 0.
+    term ``t`` of ``_terms`` the sector-local source row ``idx[t]`` and the
+    coefficients ``coef[t]`` indexed by local digit.  Row ``r`` of a
+    step's output is ``diag[loc[r]] x[r] + sum_t coef[t][loc[r]] x[idx[t, r]]``.
     """
     k = op.cols
     rest = n ** m // (n ** first * k)
     loc = order // rest % k
-    diag = np.diagonal(op._a).copy()
-    off = op._a - np.diag(diag)
-    cols = [np.flatnonzero(row) for row in off]
-    terms = max(len(c) for c in cols)
-    idx = np.empty((terms, len(order)), dtype=np.int32)
-    coef = np.empty((terms, k), dtype=complex)
-    for t in range(terms):
-        src = np.array([c[t] if t < len(c) else i for i, c in enumerate(cols)])
-        coef[t] = off[np.arange(k), src]
-        idx[t] = local_pos[order + (src[loc] - loc) * rest]
-    return loc.astype(np.min_scalar_type(k - 1)), diag, idx, coef
+    src, coef = _terms(op._a)
+    idx = local_pos[order + (src[:, loc] - loc) * rest].astype(np.int32)
+    return loc.astype(np.min_scalar_type(k - 1)), np.diagonal(op._a).copy(), idx, coef
 
 
 def _gather_cost(op) -> int:
@@ -788,7 +782,7 @@ def slot_trace(field: Field, n: int, m: int, steps) -> Scalar:
         return Mat.identity(field, dim).apply_slots(n, steps).trace()
     start, folded = _leading_diagonal(n, m, steps)
     steps = steps[folded:]
-    order, sizes = _sectors(n, m, [op for op, _ in steps])
+    order, sizes = _sectors(n, m, steps)
     if len(sizes) > 1:
         return _sector_trace(n, m, _fuse(n, steps, _gather_cost), start, order, sizes)
     steps = _fuse(n, steps, lambda op: op.cols)

@@ -3,10 +3,17 @@
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from ybtk.errors import SingularMatrixError
 from ybtk.rmatrix import AxiomResult
 from ybtk.scalars import Field, _cmul, _format_poly, _monomial_quotient, _Poly, substitute
 from ybtk.tensors import Mat, Tensor4, permutation
+
+
+def is_identity(m: Mat) -> bool:
+    """Whether ``m`` equals the identity under its field's notion of equality."""
+    return m.square and m.eq(Mat.identity(m.field, m.rows))
 
 
 def rand_fraction(rng, lo=-5, hi=5):
@@ -64,6 +71,17 @@ def kron_braid_rep(s: Tensor4, word) -> Mat:
         right = Mat.identity(field, n ** (m - i - 1))
         out = out @ left.kron(block).kron(right)
     return out
+
+
+def loop_terms(a):
+    """The off-diagonal terms of a square array, row by row: the loop that
+    ``tensors._terms`` replaced, as its reference."""
+    off = a.copy()
+    np.fill_diagonal(off, 0)
+    cols = [np.flatnonzero(row) for row in off]
+    src = np.array([[c[t] if t < len(c) else i for i, c in enumerate(cols)]
+                    for t in range(max(len(c) for c in cols))], dtype=int).reshape(-1, len(a))
+    return src, off[np.arange(len(a)), src]
 
 
 def kron_piece(piece: str, s: Tensor4, mu: Mat) -> Mat:

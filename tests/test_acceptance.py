@@ -40,7 +40,7 @@ from ybtk.rmatrix import (
 from ybtk.scalars import Field, exact_tag, float_tag, substitute
 from ybtk.tensors import Mat, Tensor4, permutation
 
-from helpers import kron_enh5_holds, rand_invertible
+from helpers import is_identity, kron_enh5_holds, rand_invertible
 
 BIINVERTIBLE = [(1, None), (2, None), (3, None), (4, None), (6, "a"), (6, "b"),
                 (7, None), (8, None), (9, None)]
@@ -296,7 +296,7 @@ def test_criterion_9_tangle_layer():
         for s, mu, is_pr in ((pr, u, True), (rp, v, False)):
             inp = InvariantInput(s, mu, f.one, f.one)
             for word in zigzags:
-                assert tangle_eval(word, inp).is_identity()
+                assert is_identity(tangle_eval(word, inp))
             ym = tangle_eval(y_minus, inp)
             tm = tangle_eval(t_minus, inp)
             # predicted matrices: the mixed braidings built from the
@@ -308,8 +308,8 @@ def test_criterion_9_tangle_layer():
             else:
                 assert ym.eq(p @ b.c_vd.mat @ p), "family %s" % fid
                 assert tm.eq(p @ b.c_dv.mat @ p), "family %s" % fid
-            assert (ym @ tangle_eval(t_plus, inp)).is_identity()
-            assert (tangle_eval(y_plus, inp) @ tm).is_identity()
+            assert is_identity(ym @ tangle_eval(t_plus, inp))
+            assert is_identity(tangle_eval(y_plus, inp) @ tm)
     _report(9, "zig-zags and mixed-crossing expansions match the predictions")
 
 

@@ -1,5 +1,6 @@
 """Braid representation, Markov trace invariant, braidings, tangle layer."""
 
+import cmath
 import random
 
 import pytest
@@ -18,10 +19,10 @@ from ybtk.invariants import (
     writhe,
 )
 from ybtk.rmatrix import braid_forms, compute_uv, enhance
-from ybtk.scalars import Field, exact_tag, float_tag
+from ybtk.scalars import Field, exact_tag, float_tag, scalar_invert
 from ybtk.tensors import Mat, Tensor4, permutation
 
-from helpers import sl_n_r
+from helpers import is_identity, sl_n_r
 
 QQ = Field(exact_tag())
 C = Field(float_tag())
@@ -107,6 +108,20 @@ def test_inverse_and_conjugation_shapes():
     assert w.stabilized(-1).letters[-1] == (3, -1)
 
 
+def test_words_share_their_letter_pairs():
+    text = "strands=70 s1 s2' s1 s69"
+    a, b = BraidWord.parse(text), BraidWord(70, [[1, 1], (2, -1), (1, 1), (69, 1)])
+    assert a == b and hash(a) == hash(b) and BraidWord.parse(a.format()) == a
+    assert a.format() == text and a.letters == ((1, 1), (2, -1), (1, 1), (69, 1))
+    assert all(x is y for x, y in zip(a.letters, b.letters[:3])) and a.letters[0] is a.letters[2]
+    assert a != BraidWord(70, a.letters[:3]) and a != BraidWord(71, a.letters)
+    assert a.inverse().letters == ((69, -1), (1, -1), (2, 1), (1, -1))
+    conj = a.conjugated_by(BraidWord.parse("strands=70 s3'"))
+    assert conj.letters == ((3, -1),) + a.letters + ((3, 1),)
+    assert a.stabilized(-1) == BraidWord(71, a.letters + ((70, -1),))
+    assert not hasattr(a, "__dict__")
+
+
 # ---------------------------------------------------------------------------
 # braid representation
 
@@ -114,7 +129,7 @@ def test_inverse_and_conjugation_shapes():
 def test_braid_rep_identity_braid():
     inp = family7_normalized_pair()
     rho = braid_rep(inp.s, BraidWord(3))
-    assert rho.is_identity() and rho.rows == 8
+    assert is_identity(rho) and rho.rows == 8
 
 
 def test_braid_rep_single_letter_is_s():
@@ -158,7 +173,7 @@ def test_braid_rep_respects_braid_relations():
 def test_braid_rep_negative_letters_invert():
     inp = family7_normalized_pair()
     rho = braid_rep(inp.s, BraidWord.parse("strands=2 s1 s1'"))
-    assert rho.is_identity()
+    assert is_identity(rho)
 
 
 def test_braid_rep_strand_cap():
@@ -309,7 +324,7 @@ def test_zigzag_identities():
     inputs += [bare_pr, bare_rp]
     for inp in inputs:
         for word in (zig1, zig2, zig3, zig4):
-            assert tangle_eval(word, inp).is_identity()
+            assert is_identity(tangle_eval(word, inp))
 
 
 def test_mixed_crossing_words_invert_each_other():
@@ -318,9 +333,9 @@ def test_mixed_crossing_words_invert_each_other():
         tp = tangle_eval(T_PLUS, inp)
         yp = tangle_eval(Y_PLUS, inp)
         tm = tangle_eval(T_MINUS, inp)
-        assert (ym @ tp).is_identity()
-        assert (yp @ tm).is_identity()
-        assert (tp @ ym).is_identity()
+        assert is_identity(ym @ tp)
+        assert is_identity(yp @ tm)
+        assert is_identity(tp @ ym)
 
 
 def test_composite_second_move_word_is_identity():
@@ -334,7 +349,7 @@ def test_composite_second_move_word_is_identity():
     for fid in (2, 4):
         for pair in enhance(fixture(fid).r).pairs:
             inp = InvariantInput.from_pair(pair)
-            assert tangle_eval(composite, inp).is_identity()
+            assert is_identity(tangle_eval(composite, inp))
 
 
 @pytest.mark.parametrize("fid", [2, 4, 7])
@@ -537,3 +552,49 @@ def test_ten_evaluations_invert_s_once(monkeypatch):
         assert tangle_eval(words[1], exact_inp).eq(tangle_eval(words[1], exact))
     assert sum(m is exact_inp.s.mat for m in inverted) == 1
     assert sum(m is exact_inp.mu for m in inverted) == 1
+
+
+# ---------------------------------------------------------------------------
+# the skein relation of U_q(sl_n)
+
+SKEIN_Q = 1.2 * cmath.exp(0.7j)
+
+
+def skein_words(rng, n, exact):
+    """(m, xi1, i, xi2): a letter s_i with random words on either side."""
+    cases = []
+    for m in ([2, 3, 4] if n == 2 else [2, 3]) if exact else [2, 3, 4]:
+        for _ in range(2 if exact else 3):
+            xi1, xi2 = ([(rng.randint(1, m - 1), rng.choice([1, -1])) for _ in range(rng.randint(0, 3))]
+                        for _ in range(2))
+            cases.append((m, xi1, rng.randint(1, m - 1), xi2))
+    return cases
+
+
+@pytest.mark.parametrize("n,exact", [(2, True), (3, True), (4, True), (2, False), (3, False), (4, False)],
+                         ids=["sl2", "sl3", "sl4", "sl2_float", "sl3_float", "sl4_float"])
+def test_skein_relation_of_sl_n(n, exact):
+    """T(x s_i y) - alpha^2 T(x s_i^-1 y) = alpha (q - q^-1) T(x y) for the PR
+    pair S = alpha PR, since (PR - q)(PR + q^-1) = 0: on turaev and on the
+    closure tangle, wherever the letter sits."""
+    qf = Field(exact_tag("q"))
+    r = sl_n_r(qf, n)
+    if exact:
+        q = qf.parse("q")
+    else:
+        q = SKEIN_Q
+        r = Tensor4(n, r.mat.evaluate({"q": q}, C))
+    result = enhance(r)
+    inp, alpha = InvariantInput.from_pair(result.pairs[0]), result.alpha
+    if exact:
+        assert alpha == scalar_invert(q) ** n
+    coef = alpha * (q - scalar_invert(q))
+    for m, xi1, i, xi2 in skein_words(random.Random(50 + n), n, exact):
+        for value in (turaev, lambda inp, word: tangle_eval(closure_word(word), inp).at(0, 0)):
+            plus, minus, none = (value(inp, BraidWord(m, tuple(xi1 + mid + xi2)))
+                                 for mid in ([(i, 1)], [(i, -1)], []))
+            terms = (plus, alpha * alpha * minus, coef * none)
+            if exact:
+                assert terms[0] - terms[1] == terms[2], (m, xi1, i, xi2)
+            else:
+                assert abs(terms[0] - terms[1] - terms[2]) <= 1e-9 * max(map(abs, terms)), (m, xi1, i, xi2)

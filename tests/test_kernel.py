@@ -31,6 +31,7 @@ from helpers import (
     kron_layer,
     kron_tangle_eval,
     kron_yb_sides,
+    loop_terms,
     rand_fraction,
     rand_invertible,
     rand_mat,
@@ -47,6 +48,14 @@ def rand_word(rng, m, letters):
     return BraidWord(m, tuple(
         (rng.randint(1, m - 1), rng.choice([1, -1])) for _ in range(letters)
     ))
+
+
+def full_word(rng, m, letters):
+    """A random word that uses every generator: the float trace splits
+    a word that skips one into finer sectors."""
+    word = [(i, rng.choice([1, -1])) for i in range(1, m)] + list(rand_word(rng, m, letters - m + 1).letters)
+    rng.shuffle(word)
+    return BraidWord(m, tuple(word))
 
 
 def rand_pair(rng, field, n):
@@ -238,14 +247,14 @@ def dense_float_input():
 
 # sl2_float_input takes the weight-sector path, dense_float_input the dense one
 def test_float_slot_trace_repeats_bitwise(two_workers):
-    word = rand_word(random.Random(800), 9, 12)
+    word = full_word(random.Random(800), 9, 12)
     for inp in (sl2_float_input(), dense_float_input()):
         assert turaev(inp, word) == turaev(inp, word)
 
 
 def test_one_worker_runs_inline_with_the_same_value(two_workers, monkeypatch):
     inputs = [sl2_float_input(), dense_float_input()]
-    word = rand_word(random.Random(900), 9, 12)
+    word = full_word(random.Random(900), 9, 12)
     pooled = [turaev(inp, word) for inp in inputs]
     monkeypatch.setattr(tensors, "_WORKERS", 1)
     monkeypatch.setattr(tensors, "_executor", lambda: pytest.fail("the pool was used"))
@@ -262,7 +271,7 @@ def test_dense_float_blocks_run_inline_and_repeat_bitwise(two_workers, monkeypat
                         lambda peak, cols, run: blocks.append(cols) or column_blocks(peak, cols, run))
     m = 9
     assert 2 ** (2 * m) > tensors._BLOCK_ENTRIES
-    word = rand_word(random.Random(1700), m, 12)
+    word = full_word(random.Random(1700), m, 12)
     # family 7's sparse S through braid_rep, then a dense S through the trace
     s = float_family_pair(7).s
     got = braid_rep(s, word)
@@ -279,7 +288,7 @@ def test_dense_float_blocks_run_inline_and_repeat_bitwise(two_workers, monkeypat
 def test_float_turaev_holds_no_dense_state(two_workers):
     # one 2^11 x 2^11 complex state alone is 64 MB, at m = 12 256 MB
     for inp, m in [(sl2_float_input(), 11), (sl2_float_input(), 12), (dense_float_input(), 11)]:
-        word = rand_word(random.Random(1000), m, 25)
+        word = full_word(random.Random(1000), m, 25)
         turaev(inp, BraidWord(m, word.letters[:1]))  # start the pool outside the measurement
         tracemalloc.start()
         try:
@@ -312,6 +321,12 @@ def assert_close(got, want):
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
+def every_slot(op, n, m):
+    """``op`` as a step on each slot of (C^n)^(x m) where it fits."""
+    width = round(math.log(op.cols, n))
+    return [(op, first) for first in range(m - width + 1)]
+
+
 def sectors_only(monkeypatch):
     """Make the dense column-block runner fail from here on."""
     monkeypatch.setattr(tensors, "_column_blocks", lambda *a: pytest.fail("the dense path ran"))
@@ -333,7 +348,7 @@ def test_catalog_sector_trace_matches_kron_reference(two_workers, monkeypatch, f
 def test_sl3_sector_trace_matches_kron_reference(two_workers, monkeypatch):
     s, _ = braid_forms(Tensor4(3, sl_n_r(Q, 3).mat.evaluate({"q": complex(0.9, 0.4)}, C)))
     # the sectors are the digit contents (a, b, c), of m! / (a! b! c!) states each
-    sizes = tensors._sectors(3, 6, [s.mat])[1]
+    sizes = tensors._sectors(3, 6, every_slot(s.mat, 3, 6))[1]
     assert sorted(sizes.tolist()) == sorted(
         math.factorial(6) // (math.factorial(a) * math.factorial(b) * math.factorial(6 - a - b))
         for a in range(7) for b in range(7 - a))
@@ -358,7 +373,7 @@ def test_tiny_sectors_are_packed_into_few_blocks(two_workers, monkeypatch):
     monkeypatch.setattr(tensors, "_map_blocks", lambda fn, t: tasks.append(len(t)) or map_blocks(fn, t))
     sectors_only(monkeypatch)
     assert_close(turaev(inp, word), want)
-    assert len(tensors._sectors(2, 9, [s.mat])[1]) == 2 ** 9
+    assert len(tensors._sectors(2, 9, every_slot(s.mat, 2, 9))[1]) == 2 ** 9
     assert 1 < tasks[0] <= 4
 
 
@@ -375,26 +390,77 @@ def test_one_sector_keeps_the_dense_path(two_workers, monkeypatch, n, m, graded)
         mu = Mat.from_rows(C, [[complex(0.8 + 0.3 * i, 0.2 - 0.1 * i) if i == j else 0
                                 for j in range(n)] for i in range(n)])
     inp = InvariantInput(s, mu, C.one, C.one)
-    word = rand_word(rng, m, 6 if n == 2 else 3)
+    word = full_word(rng, m, m - 1)
     assert_close(turaev(inp, word), turaev_reference(inp, word))
 
 
 @pytest.mark.parametrize("m", [1, 5, 9])
 def test_sectors_of_the_catalog(m):
     s = float_family_pair(7).s
-    order, sizes = tensors._sectors(2, m, [s.mat.transpose(), s.inverse().mat.transpose()])
+    order, sizes = tensors._sectors(
+        2, m, every_slot(s.mat.transpose(), 2, m) + every_slot(s.inverse().mat.transpose(), 2, m))
     assert sorted(sizes.tolist()) == sorted(math.comb(m, w) for w in range(m + 1))
     assert sorted(order.tolist()) == list(range(2 ** m))
     ones = [bin(state).count("1") for state in order.tolist()]
     bounds = [0, *sizes.cumsum().tolist()]
     for lo, hi in zip(bounds, bounds[1:]):
         assert len(set(ones[lo:hi])) == 1
-    order, sizes = tensors._sectors(2, m, [float_family_pair(9).s.mat])
+    order, sizes = tensors._sectors(2, m, every_slot(float_family_pair(9).s.mat, 2, m))
     assert sizes.tolist() == [2 ** (m - 1)] * 2
     rng = random.Random(1500 + m)
     if m > 1:
         for n, op in [(2, rand_pair(rng, C, 2)[0].mat), (3, rand_pair(rng, C, 3)[0].mat)]:
-            assert tensors._sectors(n, m, [op])[1].tolist() == [n ** m]
+            assert tensors._sectors(n, m, every_slot(op, n, m))[1].tolist() == [n ** m]
+
+
+def test_a_skipped_generator_splits_the_sectors(two_workers, monkeypatch):
+    # family 7 keeps the weight of every run of strands that no letter
+    # crosses: without s4 on 8 strands, the weights of strands 1-4 and 5-8
+    inp = float_family_pair(7)
+    rng = random.Random(1600)
+    gens = [1, 2, 3, 5, 6, 7]
+    word = BraidWord(8, tuple((i, rng.choice([1, -1])) for i in gens + rng.choices(gens, k=10)))
+    sizes = tensors._sectors(2, 8, [(inp.s.mat, i - 1) for i in gens])[1]
+    assert sorted(sizes.tolist()) == sorted(math.comb(4, a) * math.comb(4, b)
+                                            for a in range(5) for b in range(5))
+    want = turaev_reference(inp, word)
+    sectors_only(monkeypatch)
+    got = turaev(inp, word)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_one_map_set_per_support_and_slot(monkeypatch):
+    calls = []
+    terms = tensors._terms
+    monkeypatch.setattr(tensors, "_terms", lambda a: calls.append(a.shape) or terms(a))
+    s = float_family_pair(7).s
+    # 2 S, and S without its diagonal, have the off-diagonal support of S:
+    # their steps on slot 1 add no map
+    rows = s.mat.tolist()
+    bare = Mat.from_rows(C, [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)])
+    same = tensors._sectors(2, 5, [(s.mat, 1), (s.mat.scale(2), 1), (bare, 1)])
+    assert calls == [(4, 4)]
+    assert [a.tolist() for a in same] == [a.tolist() for a in tensors._sectors(2, 5, [(s.mat, 1)])]
+    calls.clear()
+    tensors._sectors(2, 5, [(s.mat, 1), (s.mat, 2)])
+    assert calls == [(4, 4)] * 2
+
+
+def test_terms_list_each_rows_off_diagonal_entries_in_column_order():
+    a = np.array([[5, 0, 2, 3], [0, 1, 0, 0], [7, 0, 0, 0], [0, 4, 9, 8]], dtype=complex)
+    src, coef = tensors._terms(a)
+    assert src.tolist() == [[2, 1, 0, 1], [3, 1, 2, 2]]
+    assert coef.tolist() == [[2, 0, 7, 4], [3, 0, 0, 9]]
+    src, coef = tensors._terms(np.diag([1.0, 2.0]))
+    assert src.shape == coef.shape == (0, 2)
+    rng = np.random.default_rng(2100)
+    for k in (1, 2, 4, 8, 9, 27, 64):
+        for density in (0.1, 0.4, 1.0):
+            a = (rng.random((k, k)) < density) * (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+            for arr in (a, a != 0):
+                (src, coef), (want_src, want_coef) = tensors._terms(arr), loop_terms(arr)
+                assert np.array_equal(src, want_src) and np.array_equal(coef, want_coef)
+                assert coef.dtype == want_coef.dtype or arr.dtype == bool
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,14 @@ from ybtk.rmatrix import (
 from ybtk.scalars import Field, exact_tag, float_tag
 from ybtk.tensors import Mat, Tensor4, embed, permutation
 
-from helpers import entrywise_contraction, kron_enh5_holds, rand_invertible, rand_tensor4, sl_n_r
+from helpers import (
+    entrywise_contraction,
+    is_identity,
+    kron_enh5_holds,
+    rand_invertible,
+    rand_tensor4,
+    sl_n_r,
+)
 
 QQ = Field(exact_tag())
 C = Field(float_tag())
@@ -170,7 +177,7 @@ def test_second_inverse_singular_input():
 def test_compute_uv_identity():
     eye = Tensor4.identity(QQ, 2)
     u, v = compute_uv(eye)
-    assert u.is_identity() and v.is_identity()
+    assert is_identity(u) and is_identity(v)
 
 
 @pytest.mark.parametrize("fid,variant", BIINVERTIBLE)
@@ -287,9 +294,9 @@ def test_enhance_identity_matrix():
     result = enhance(eye)
     p = permutation(QQ, 2)
     assert result.alpha == QQ.one
-    assert result.pairs[0].s.eq(p) and result.pairs[0].mu.is_identity()
+    assert result.pairs[0].s.eq(p) and is_identity(result.pairs[0].mu)
     quad = result.quadruples[0]
-    assert quad.s.eq(p) and quad.mu.is_identity()
+    assert quad.s.eq(p) and is_identity(quad.mu)
     assert quad.alpha == QQ.one and quad.beta == QQ.one
 
 
@@ -315,8 +322,8 @@ def test_enhance_family2_pairs_are_unscaled():
     fx = fixture(2)
     result = enhance(fx.r)
     pr, rp = braid_forms(fx.r)
-    assert result.pairs[0].s.eq(pr) and result.pairs[0].mu.is_identity()
-    assert result.pairs[1].s.eq(rp) and result.pairs[1].mu.is_identity()
+    assert result.pairs[0].s.eq(pr) and is_identity(result.pairs[0].mu)
+    assert result.pairs[1].s.eq(rp) and is_identity(result.pairs[1].mu)
 
 
 def test_enhance_refuses_non_biinvertible():
