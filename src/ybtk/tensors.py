@@ -45,14 +45,22 @@ the starting identity columns.  The other steps then decide the path,
 and are fused before it runs:
 
 * Sectors.  Link two states when a step, at its own slots, has a
-  nonzero off-diagonal term (``_terms``) between them.  Each connected
-  component of these links is a sector that every step maps into
-  itself, so each sector's ``L x L`` block is traced on its own; a step
-  is a multiply by the operator's diagonal plus one row gather per
-  off-diagonal term.  For U_q(sl_n) and catalog family 7 the sectors
-  are the weight spaces (at n = 2, m = 12, C(24, 12) = 2.7 M entries
-  against 4^12 = 16.8 M), or products of them when a word skips a
-  generator.  A Z/2 parity, as in families 6 and 9, gives two halves.
+  nonzero off-diagonal entry between them, that is when their digits
+  there lie in one connected component of the operator's support
+  (``_components``).  Each connected component of these links is a
+  sector that every step maps into itself, so each sector's ``L x L``
+  block is traced on its own.  For U_q(sl_n) and catalog family 7 the
+  sectors are the weight spaces (at n = 2, m = 12, C(24, 12) = 2.7 M
+  entries against 4^12 = 16.8 M), or products of them when a word skips
+  a generator.  A Z/2 parity, as in families 6 and 9, gives two halves.
+  A step is a block step (``_block_chain``): the sector's rows are
+  ordered by the component of the step's digits, then the digit's
+  index in its component, then the rest of the state, so each
+  nontrivial component's rows form one ``size x groups`` block.  One
+  row gather moves the state into that layout, the singleton rows are
+  multiplied by the operator's diagonal, and each nontrivial component
+  is one ``np.matmul`` (the block-sparse step of U(1)-symmetric tensor
+  networks, Singh, Pfeifer & Vidal 2011).
 * Dense.  With one sector, or a step that changes the factor count, the
   columns of the whole space run the steps and keep their diagonal.
 * Fusion (``_fuse``), on either path.  Each run of square steps that
@@ -60,11 +68,12 @@ and are fused before it runs:
   operator by ``apply_slots`` on the window's identity; a step may move
   past earlier steps on disjoint slots, since those commute with it.  A
   fused operator is kept only when the path's own cost says it costs no
-  more than its parts: ``1 + 3 * (most off-diagonal nonzeros in a row)``
-  passes per state on the sector path (the diagonal multiply, then a
-  gather, a multiply and an add per term), ``op.cols`` multiplies per
-  entry on the dense one.  The sectors are found before the fusion, and
-  a product of operators that keep each sector keeps it too.  Exact
+  more than its parts: ``1 + sum(size^2) / K`` passes per state on the
+  sector path (the gather, then a ``size x size`` product on ``size / K``
+  of the rows per component of a ``K x K`` operator's support,
+  ``_block_cost``), ``op.cols`` multiplies per entry on the dense one.
+  The sectors are found before the fusion, and a product of operators
+  that keep each sector keeps it too.  Exact
   traces are not fused: the order of additions decides their printed
   form.
 
@@ -108,8 +117,10 @@ __all__ = ["Mat", "Tensor4", "permutation", "embed", "yb_sides"]
 # blocks on the pool and 0.26-0.43 s with per-nonzero ufunc steps there.
 _BLOCK_ENTRIES = 1 << 17
 # Sector blocks (see slot_trace) gather rows from anywhere in their
-# block, and ran about 8% faster at 2^15 or 2^16 entries than at 2^17 on
-# 2 cores with 2 MB of L2 cache each; 2^15 also holds 6 MB less.
+# block.  With a gather and a multiply-add per off-diagonal term they ran
+# about 8% faster at 2^15 or 2^16 entries than at 2^17 on 2 cores with
+# 2 MB of L2 cache each.  Each worker holds two buffers of this size,
+# 1 MB at 2^15 against 4 MB at 2^17.
 _SECTOR_BLOCK_ENTRIES = 1 << 15
 # The widest operator, in slots, that the float trace fuses neighbouring
 # steps into (see _fuse): an n^3 x n^3 operator.
@@ -585,29 +596,45 @@ def _leading_diagonal(n: int, m: int, steps):
     return functools.reduce(np.kron, factors, np.ones(1, dtype=complex)), count
 
 
-def _terms(a):
-    """Per off-diagonal term ``t`` of a square array, each row ``i``'s source
-    column ``src[t, i]`` (its ``t``-th off-diagonal nonzero, in column
-    order, else ``i``) and its entry ``coef[t, i]`` (0 for ``i``)."""
-    k = len(a)
-    off = np.where(np.eye(k, dtype=bool), 0, a)
-    rows, cols = np.nonzero(off)
-    counts = np.bincount(rows, minlength=k)
-    src = np.tile(np.arange(k), (counts.max(initial=0), 1))
-    src[np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts), rows] = cols
-    return src, off[np.arange(k), src]
+def _components(a):
+    """Each index's least index in its connected component, for the graph
+    whose edges are the nonzero off-diagonal entries of the square array
+    ``a``, either way round: min-label passes with pointer jumping.
+
+    The labels are read-only and kept per support: a trace prices every
+    candidate of ``_fuse`` by them, and a word's operators share a few
+    supports.
+    """
+    return _support_components((a != 0).tobytes(), len(a))
+
+
+@functools.lru_cache(maxsize=128)
+def _support_components(support: bytes, k: int):
+    link = np.frombuffer(support, dtype=bool).reshape(k, k)
+    link = link | link.T
+    label = np.arange(k)
+    while True:
+        new = np.minimum(label, np.where(link, label, k).min(axis=1, initial=k))
+        new = new[new]
+        if np.array_equal(new, label):
+            label.flags.writeable = False
+            return label
+        label = new
 
 
 def _sectors(n: int, m: int, steps):
     """The states of (C^n)^(x m) in sector-major order, and the sector sizes.
 
     Two states are linked when a step ``(op, first)`` has a nonzero
-    off-diagonal entry between them at its own slots, one map set per
-    distinct symmetrised support and slot; a sector is a connected
-    component of these links, so every step maps it into itself.
+    off-diagonal entry between them at its own slots; a sector is a
+    connected component of these links, so every step maps it into
+    itself.  Each state is linked to the least state of its component of
+    ``op``'s support (``_components``) at the step's slots, one map per
+    distinct off-diagonal support and slot.
     Components are labelled by their least state through min-label
-    passes with pointer jumping, and keep their order of states.  Steps
-    that change the factor count give one sector.
+    passes that run both ways along each map, with pointer jumping, and
+    keep their order of states.  Steps that change the factor count give
+    one sector.
     """
     dim = n ** m
     states = np.arange(dim)
@@ -615,17 +642,19 @@ def _sectors(n: int, m: int, steps):
         return states, np.array([dim])
     maps: dict = {}
     for op, first in steps:
-        link = (op._a != 0) | (op._a.T != 0)
+        link = op._a != 0
         np.fill_diagonal(link, False)
-        key = (link.tobytes(), first)
+        key = ((link | link.T).tobytes(), first)
         if key not in maps:
             rest = dim // (n ** first * op.cols)
             loc = states // rest % op.cols
-            maps[key] = states + (_terms(link)[0][:, loc] - loc) * rest
+            maps[key] = states + (_components(op._a)[loc] - loc) * rest
     label = states
     while True:
         new = label.copy()
-        for idx in (i for links in maps.values() for i in links):
+        for idx in maps.values():
+            # a component's least state takes its members' minimum, then they take its
+            np.minimum.at(new, idx, new.copy())
             np.minimum(new, new[idx], out=new)
         new = new[new]
         if np.array_equal(new, label):
@@ -635,28 +664,12 @@ def _sectors(n: int, m: int, steps):
     return np.argsort(sector, kind="stable"), np.bincount(sector)
 
 
-def _gather_maps(n: int, m: int, op, first: int, order, local_pos):
-    """One sector-graded step as a diagonal multiply and row gathers.
-
-    Returns, in sector-major order, each state's local digit ``loc`` (the
-    row of ``op`` it sits on), the diagonal of ``op``, and per
-    term ``t`` of ``_terms`` the sector-local source row ``idx[t]`` and the
-    coefficients ``coef[t]`` indexed by local digit.  Row ``r`` of a
-    step's output is ``diag[loc[r]] x[r] + sum_t coef[t][loc[r]] x[idx[t, r]]``.
-    """
-    k = op.cols
-    rest = n ** m // (n ** first * k)
-    loc = order // rest % k
-    src, coef = _terms(op._a)
-    idx = local_pos[order + (src[:, loc] - loc) * rest].astype(np.int32)
-    return loc.astype(np.min_scalar_type(k - 1)), np.diagonal(op._a).copy(), idx, coef
-
-
-def _gather_cost(op) -> int:
-    """Passes per state of one sector-graded step: the diagonal multiply,
-    then a gather, a multiply and an add per off-diagonal term."""
-    a = op._a
-    return 1 + 3 * int((np.count_nonzero(a, axis=1) - (np.diagonal(a) != 0)).max())
+def _block_cost(op) -> float:
+    """Passes per state of one block step: the gather, then per component
+    of ``op``'s support a ``size x size`` product on ``size / K`` of the
+    rows, ``K = op.cols``: ``1 + sum(size^2) / K``."""
+    sizes = np.bincount(_components(op._a))
+    return 1 + float(sizes @ sizes) / op.cols
 
 
 def _fuse(n: int, steps, cost) -> list:
@@ -696,16 +709,144 @@ def _fuse(n: int, steps, cost) -> list:
     return [(g[0], g[1]) for g in groups]
 
 
+def _block_order(op):
+    """A step's operator in block order: its digits in that order, its
+    diagonal on the singleton digits, and ``(lo, hi, block)`` per
+    nontrivial component, ``block`` that component's square of ``op``.
+
+    Block order puts the digits of singleton components first, then
+    those of each nontrivial component (``_components``), ascending.
+    """
+    least = _components(op._a)
+    size = np.bincount(least, minlength=len(least))[least]
+    digits = np.lexsort((least, size > 1))
+    singles = int(np.count_nonzero(size == 1))
+    a = op._a[np.ix_(digits, digits)]
+    bounds = [0, *(np.flatnonzero(np.diff(least[digits])) + 1).tolist(), len(least)]
+    blocks = [(lo, hi, np.ascontiguousarray(a[lo:hi, lo:hi]))
+              for lo, hi in zip(bounds, bounds[1:]) if lo >= singles]
+    return digits, np.diagonal(a)[:singles].copy(), blocks
+
+
+def _block_layout(n: int, m: int, digits, first: int, sector, base, packed: int):
+    """The rows of the packed sectors for a step at slot ``first`` whose
+    digits run in the block order ``digits``.
+
+    ``sector`` is each state's packed sector (of ``packed``) and ``base``
+    each row's packed-sector offset.  Within a packed sector the rows run
+    by the step's digit in block order, then by the rest of the state.
+    A sector is closed under the step, so the rows of a nontrivial
+    component form one ``size x groups`` block of row groups.  Returns
+    each state's row within its packed sector, the states in row order,
+    and per packed sector the row count of each digit in block order.
+    """
+    dim, k = n ** m, len(digits)
+    rank = np.empty(k, dtype=np.int64)
+    rank[digits] = np.arange(k)
+    rest = dim // (n ** first * k)
+    states = np.arange(dim)
+    key = sector * k + rank[states // rest % k]
+    rows = np.argsort(key * (dim // k) + states // (rest * k) * rest + states % rest)
+    local = np.empty(dim, dtype=np.int64)
+    local[rows] = np.arange(dim) - base
+    return local, rows, np.bincount(key, minlength=packed * k).reshape(packed, k)
+
+
+def _block_step(diag, blocks, counts) -> list:
+    """Per packed sector, from the row count of each digit in block order
+    (``counts``): the singleton row count, ``diag`` on those rows, and
+    ``(r0, r1, block)`` per entry of ``blocks`` with rows there."""
+    singles = len(diag)
+    rows = np.repeat(np.tile(diag, len(counts)), counts[:, :singles].ravel())
+    out = []
+    d = 0
+    for r in np.cumsum(counts, axis=1).tolist():
+        r = [0, *r]
+        s = r[singles]
+        out.append((s, rows[d:d + s], [(r[lo], r[hi], b) for lo, hi, b in blocks if r[hi] > r[lo]]))
+        d += s
+    return out
+
+
+def _block_product(step, x, y):
+    """One ``_block_step`` entry on a packed sector's rows: ``y`` from
+    ``x``, both ``(size, w)`` in the step's layout."""
+    singles, diag, blocks = step
+    np.multiply(x[:singles], diag[:, None], out=y[:singles])
+    for r0, r1, block in blocks:
+        k = len(block)
+        np.matmul(block, x[r0:r1].reshape(k, -1), out=y[r0:r1].reshape(k, -1))
+
+
+def _block_chain(n: int, m: int, steps, start, order, sizes):
+    """The steps of ``_sector_trace`` on packed sectors of ``sizes``.
+
+    Returns per step its row gather from the previous step's layout (the
+    int32 local source row of each row, ``None`` where the layout is
+    unchanged) and its ``_block_step``; ``start``, the scale of each
+    state's identity column, in the row order the trace starts from; and
+    the row of each such state in the last layout.  The first step's
+    layout is also the starting one, so it gathers nothing, and a
+    diagonal step after it keeps the layout it finds: its one product is
+    a multiply of every row by the diagonal.  Operators are put in block
+    order once (``_block_order``), layouts are built once per block
+    order and slot, and gathers once per pair of layouts.
+    """
+    dim = n ** m
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    base = np.repeat(offsets, sizes)
+    sector = np.empty(dim, dtype=np.int64)
+    sector[order] = np.repeat(np.arange(len(sizes)), sizes)
+    orders: dict = {}  # per operator
+    layouts: dict = {}  # per block order and slot
+    blocks: dict = {}  # per operator, slot and, for a diagonal step, layout
+    gathers: dict = {}  # per pair of layouts
+    chain = []
+    columns, last = order, None
+    for op, first in steps:
+        if id(op) not in orders:
+            orders[id(op)] = _block_order(op)
+        digits, diag, op_blocks = orders[id(op)]
+        gather = None
+        if op_blocks or last is None:
+            key = (digits.tobytes(), first)
+            if key not in layouts:
+                layouts[key] = _block_layout(n, m, digits, first, sector, base, len(sizes))
+            if (id(op), first) not in blocks:
+                blocks[id(op), first] = _block_step(diag, op_blocks, layouts[key][2])
+            step = blocks[id(op), first]
+            if last is None:
+                columns = layouts[key][1]
+            elif last != key:
+                if (last, key) not in gathers:
+                    gathers[last, key] = layouts[last][0][layouts[key][1]].astype(np.int32)
+                gather = gathers[last, key]
+        else:
+            key = last
+            if (id(op), first, key) not in blocks:
+                rest = dim // (n ** first * op.cols)
+                scale = np.diagonal(op._a)[layouts[key][1] // rest % op.cols]
+                blocks[id(op), first, key] = [(size, scale[o:o + size], [])
+                                              for o, size in zip(offsets.tolist(), sizes.tolist())]
+            step = blocks[id(op), first, key]
+        chain.append((gather, step))
+        last = key
+    final = np.arange(dim) - base if last is None else layouts[last][0][columns]
+    return chain, start[columns], final.astype(np.int32)
+
+
 def _sector_trace(n: int, m: int, steps, start, order, sizes) -> complex:
     """The float trace as a sum over sectors, each an ``L x L`` block.
 
     Each sector's columns run in blocks of about ``_SECTOR_BLOCK_ENTRIES``
-    entries through ``_map_blocks``; a step is a multiply by the
-    operator's diagonal and one row gather per off-diagonal term, through
-    maps built once per distinct ``(op, first)``.  Neighbouring sectors
-    that fit one block together are traced as one: their union is a
-    block of the product too, and a task per tiny sector (a diagonal
-    braiding has n^m of them) would cost more in calls than in entries.
+    entries through ``_map_blocks``.  A step (``_block_chain``) is one
+    row gather into its own layout, a multiply of the singleton rows by
+    the operator's diagonal, and one matmul per nontrivial component of
+    the operator's support; it reads one thread-local buffer and writes
+    the other.  Neighbouring sectors that fit one block together are
+    traced as one: their union is a block of the product too, and a task
+    per tiny sector (a diagonal braiding has n^m of them) would cost more
+    in calls than in entries.
     """
     packed: list = []
     for size in sizes.tolist():
@@ -713,47 +854,33 @@ def _sector_trace(n: int, m: int, steps, start, order, sizes) -> complex:
             packed[-1] += size
         else:
             packed.append(size)
-    sizes = np.array(packed)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    local_pos = np.empty(len(order), dtype=np.int64)
-    local_pos[order] = np.arange(len(order)) - np.repeat(offsets[:-1], sizes)
-    maps: dict = {}
-    chain = []
-    for op, first in steps:
-        key = (id(op), first)
-        if key not in maps:
-            maps[key] = _gather_maps(n, m, op, first, order, local_pos)
-        chain.append(maps[key])
+    chain, start, final = _block_chain(n, m, steps, start, order, np.array(packed))
     tasks = []
-    for o, size in zip(offsets[:-1].tolist(), sizes.tolist()):
+    o = 0
+    for p, size in enumerate(packed):
         width = max(1, _SECTOR_BLOCK_ENTRIES // size)
-        tasks += [(o, size, c0, min(c0 + width, size)) for c0 in range(0, size, width)]
-    entries = max(size * (c1 - c0) for _, size, c0, c1 in tasks)
+        tasks += [(p, o, size, c0, min(c0 + width, size)) for c0 in range(0, size, width)]
+        o += size
+    entries = max(size * (c1 - c0) for _, _, size, c0, c1 in tasks)
     local = threading.local()
 
     def run(task):
-        o, size, c0, c1 = task
+        p, o, size, c0, c1 = task
         w = c1 - c0
         bufs = getattr(local, "bufs", None)
         if bufs is None:
-            bufs = local.bufs = [np.empty(entries, dtype=complex) for _ in range(3)]
-            local.column = np.empty(max(sizes), dtype=complex)
-        x = bufs[1][:size * w].reshape(size, w)
-        tmp = bufs[2][:size * w].reshape(size, w)
-        column = local.column[:size]
+            bufs = local.bufs = [np.empty(entries, dtype=complex) for _ in range(2)]
+        x, y = (b[:size * w].reshape(size, w) for b in bufs)
         cols = np.arange(w)
         x.fill(0)
-        x[c0 + cols, cols] = start[order[o + c0:o + c1]]
-        for s, (loc, diag, idx, coef) in enumerate(chain):
-            out = bufs[s % 2][:size * w].reshape(size, w)
-            digit = loc[o:o + size]
-            np.multiply(x, np.take(diag, digit, out=column)[:, None], out=out)
-            for t in range(len(idx)):
-                np.take(x, idx[t, o:o + size], axis=0, out=tmp, mode="clip")
-                np.multiply(tmp, np.take(coef[t], digit, out=column)[:, None], out=tmp)
-                np.add(out, tmp, out=out)
-            x = out
-        return complex(x[c0 + cols, cols].sum())
+        x[c0 + cols, cols] = start[o + c0:o + c1]
+        for gather, sectors in chain:
+            if gather is not None:
+                np.take(x, gather[o:o + size], axis=0, out=y, mode="clip")
+                x, y = y, x
+            _block_product(sectors[p], x, y)
+            x, y = y, x
+        return complex(x[final[o + c0:o + c1], cols].sum())
 
     return sum(_map_blocks(run, tasks), 0j)
 
@@ -767,12 +894,14 @@ def slot_trace(field: Field, n: int, m: int, steps) -> Scalar:
     starting columns, then keeps only the diagonal of each column block.
     When the supports of the remaining steps split the states into
     several sectors (``_sectors``), the state is block-diagonal by sector
-    and each sector is traced on its own; otherwise, or when a step
-    changes the factor count, the columns of the whole space run through
-    ``_column_blocks``.  On either path, neighbouring square steps are
-    first multiplied into operators of at most 3 slots (``_fuse``) where
-    that path's cost per state, ``_gather_cost`` or ``op.cols``, is no
-    more than that of the parts.
+    and each sector is traced on its own (``_sector_trace``), each step
+    one row gather into its own layout and one ``np.matmul`` per
+    nontrivial component of its operator's support; otherwise, or when a
+    step changes the factor count, the columns of the whole space run
+    through ``_column_blocks``.  On either path, neighbouring square
+    steps are first multiplied into operators of at most 3 slots
+    (``_fuse``) where that path's cost per state, ``_block_cost`` or
+    ``op.cols``, is no more than that of the parts.
     """
     dim = n ** m
     _, rows, peak = _plan(n, dim, steps)
@@ -784,7 +913,7 @@ def slot_trace(field: Field, n: int, m: int, steps) -> Scalar:
     steps = steps[folded:]
     order, sizes = _sectors(n, m, steps)
     if len(sizes) > 1:
-        return _sector_trace(n, m, _fuse(n, steps, _gather_cost), start, order, sizes)
+        return _sector_trace(n, m, _fuse(n, steps, _block_cost), start, order, sizes)
     steps = _fuse(n, steps, lambda op: op.cols)
     plan = _plan(n, dim, steps)[0]
 

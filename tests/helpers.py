@@ -73,15 +73,33 @@ def kron_braid_rep(s: Tensor4, word) -> Mat:
     return out
 
 
-def loop_terms(a):
-    """The off-diagonal terms of a square array, row by row: the loop that
-    ``tensors._terms`` replaced, as its reference."""
-    off = a.copy()
-    np.fill_diagonal(off, 0)
-    cols = [np.flatnonzero(row) for row in off]
-    src = np.array([[c[t] if t < len(c) else i for i, c in enumerate(cols)]
-                    for t in range(max(len(c) for c in cols))], dtype=int).reshape(-1, len(a))
-    return src, off[np.arange(len(a)), src]
+def union_find_sectors(n: int, m: int, steps):
+    """The float trace's sectors by union-find over every state and
+    off-diagonal nonzero of each step: the states in sector-major order
+    (sectors by least state, states ascending) and the sector sizes."""
+    dim = n ** m
+    parent = list(range(dim))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for op, first in steps:
+        k = op.cols
+        rest = dim // (n ** first * k)
+        pairs = [(i, j) for i in range(k) for j in range(k) if i != j and op.at(i, j) != 0]
+        for state in range(dim):
+            high, low = divmod(state, rest * k)
+            for i, j in pairs:
+                a = root((high * k + i) * rest + low % rest)
+                b = root((high * k + j) * rest + low % rest)
+                parent[max(a, b)] = min(a, b)
+    sectors: dict = {}
+    for state in range(dim):
+        sectors.setdefault(root(state), []).append(state)
+    groups = [sectors[r] for r in sorted(sectors)]
+    return np.array([s for g in groups for s in g]), np.array([len(g) for g in groups])
 
 
 def kron_piece(piece: str, s: Tensor4, mu: Mat) -> Mat:

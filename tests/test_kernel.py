@@ -31,12 +31,12 @@ from helpers import (
     kron_layer,
     kron_tangle_eval,
     kron_yb_sides,
-    loop_terms,
     rand_fraction,
     rand_invertible,
     rand_mat,
     rand_tensor4,
     sl_n_r,
+    union_find_sectors,
 )
 
 QQ = Field(exact_tag())
@@ -431,8 +431,8 @@ def test_a_skipped_generator_splits_the_sectors(two_workers, monkeypatch):
 
 def test_one_map_set_per_support_and_slot(monkeypatch):
     calls = []
-    terms = tensors._terms
-    monkeypatch.setattr(tensors, "_terms", lambda a: calls.append(a.shape) or terms(a))
+    components = tensors._components
+    monkeypatch.setattr(tensors, "_components", lambda a: calls.append(a.shape) or components(a))
     s = float_family_pair(7).s
     # 2 S, and S without its diagonal, have the off-diagonal support of S:
     # their steps on slot 1 add no map
@@ -442,25 +442,136 @@ def test_one_map_set_per_support_and_slot(monkeypatch):
     assert calls == [(4, 4)]
     assert [a.tolist() for a in same] == [a.tolist() for a in tensors._sectors(2, 5, [(s.mat, 1)])]
     calls.clear()
-    tensors._sectors(2, 5, [(s.mat, 1), (s.mat, 2)])
+    steps = [(s.mat, 1), (s.mat, 2)]
+    got = tensors._sectors(2, 5, steps)
     assert calls == [(4, 4)] * 2
+    assert [a.tolist() for a in got] == [a.tolist() for a in union_find_sectors(2, 5, steps)]
 
 
-def test_terms_list_each_rows_off_diagonal_entries_in_column_order():
-    a = np.array([[5, 0, 2, 3], [0, 1, 0, 0], [7, 0, 0, 0], [0, 4, 9, 8]], dtype=complex)
-    src, coef = tensors._terms(a)
-    assert src.tolist() == [[2, 1, 0, 1], [3, 1, 2, 2]]
-    assert coef.tolist() == [[2, 0, 7, 4], [3, 0, 0, 9]]
-    src, coef = tensors._terms(np.diag([1.0, 2.0]))
-    assert src.shape == coef.shape == (0, 2)
-    rng = np.random.default_rng(2100)
-    for k in (1, 2, 4, 8, 9, 27, 64):
-        for density in (0.1, 0.4, 1.0):
-            a = (rng.random((k, k)) < density) * (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
-            for arr in (a, a != 0):
-                (src, coef), (want_src, want_coef) = tensors._terms(arr), loop_terms(arr)
-                assert np.array_equal(src, want_src) and np.array_equal(coef, want_coef)
-                assert coef.dtype == want_coef.dtype or arr.dtype == bool
+def letter_steps(s, word):
+    return [(s.mat if eps > 0 else s.inverse().mat, i - 1) for i, eps in word.letters]
+
+
+SECTOR_INPUTS = {
+    "family2": (lambda: float_family_pair(2), 6),
+    "family7": (lambda: float_family_pair(7), 6),
+    "family9": (lambda: float_family_pair(9), 6),
+    "sl3": (lambda: sl_float_input(3), 4),
+    "sl4": (lambda: sl_float_input(4), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECTOR_INPUTS))
+def test_sectors_match_union_find(name):
+    # the least-state maps must carry the minimum both ways: a member
+    # that is some other map's least state passes it on to its own
+    make, top = SECTOR_INPUTS[name]
+    s = make().s
+    rng = random.Random(2400)
+    for m in range(3, top + 1):
+        for _ in range(6):
+            steps = letter_steps(s, rand_word(rng, m, rng.randint(1, 2 * m)))
+            got, want = tensors._sectors(s.n, m, steps), union_find_sectors(s.n, m, steps)
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+def test_components_label_each_index_by_its_components_least_index():
+    assert tensors._components(np.diag([1.0, 2.0, 3.0])).tolist() == [0, 1, 2]
+    # family 7's S links 01 and 10 only: {0}, {1, 2}, {3}
+    assert tensors._components(float_family_pair(7).s.mat._a).tolist() == [0, 1, 1, 3]
+    # the cycle 1 -> 3 -> 4 -> 1, with 0 and 2 fixed; one entry of a pair links both ways
+    cycle = np.eye(5)[[0, 3, 2, 4, 1]]
+    assert tensors._components(cycle).tolist() == [0, 1, 2, 1, 1]
+    assert tensors._components(np.triu(np.ones((4, 4)))).tolist() == [0, 0, 0, 0]
+    dense = np.random.default_rng(2500).normal(size=(6, 6))
+    assert tensors._components(dense).tolist() == [0] * 6
+
+
+def rand_block_op(rng, n, slots):
+    """A random operator on ``slots`` slots whose support joins the digits
+    of a random partition in random sparse patterns."""
+    k = n ** slots
+    group = rng.integers(0, max(1, k // 2), size=k)
+    mask = (group[:, None] == group[None, :]) & (rng.random((k, k)) < 0.6)
+    np.fill_diagonal(mask, rng.random(k) < 0.8)
+    return Mat(C, k, k, np.where(mask, rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)), 0))
+
+
+@pytest.mark.parametrize("n,m", [(2, 5), (3, 3)])
+def test_one_block_step_matches_apply_slots(n, m):
+    rng = np.random.default_rng(2600 + n)
+    for _ in range(8):
+        slots = int(rng.integers(1, 3 if n == 3 else 4))
+        op = rand_block_op(rng, n, slots)
+        first = int(rng.integers(0, m - slots + 1))
+        order, sizes = tensors._sectors(n, m, [(op, first)])
+        state = rng.normal(size=(n ** m, 3)) + 1j * rng.normal(size=(n ** m, 3))
+        want = Mat(C, n ** m, 3, state).apply_slots(n, [(op, first)])._a
+        # each sector on its own, then all of them packed into one
+        for packed in (sizes, np.array([n ** m])):
+            # with each state as its own scale, the starting scales are the states in row order
+            chain, rows, _ = tensors._block_chain(n, m, [(op, first)], np.arange(n ** m), order, packed)
+            [(gather, step)] = chain
+            assert gather is None
+            o = 0
+            for p, size in enumerate(packed.tolist()):
+                x = state[rows[o:o + size]]
+                y = np.empty_like(x)
+                tensors._block_product(step[p], x, y)
+                assert np.abs(y - want[rows[o:o + size]]).max() <= 1e-12
+                o += size
+
+
+def diagonal_input():
+    """A diagonal braiding: n^m sectors of one state each, packed."""
+    rng = random.Random(1200)
+    d = [complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)) for _ in range(4)]
+    s = Tensor4(2, Mat.from_rows(C, [[d[i] if i == j else 0 for j in range(4)] for i in range(4)]))
+    return InvariantInput(s, Mat.from_rows(C, [[1.2, 0], [0, 0.8j]]), C.one, C.one)
+
+
+# (input, strands, a generator the word skips, sector block entries)
+BLOCK_TRACE_INPUTS = {
+    "diagonal": (diagonal_input, 9, None, 1 << 15),
+    "skipped_generator": (lambda: float_family_pair(7), 8, 4, 1 << 15),
+    "family2": (lambda: float_family_pair(2), 9, None, 1 << 15),
+    "family7": (lambda: float_family_pair(7), 9, None, 1 << 15),
+    "family7_split_columns": (lambda: float_family_pair(7), 9, None, 1 << 10),
+    "family9": (lambda: float_family_pair(9), 9, None, 1 << 15),
+    "sl3": (lambda: sl_float_input(3), 6, None, 1 << 15),
+    "sl4": (lambda: sl_float_input(4), 5, None, 1 << 15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_TRACE_INPUTS))
+def test_block_trace_matches_kron_reference(two_workers, monkeypatch, name):
+    make, m, skip, block = BLOCK_TRACE_INPUTS[name]
+    inp = make()
+    rng = random.Random(2700)
+    gens = [i for i in range(1, m) if i != skip]
+    count = 3 * m if inp.n == 2 else 2 * m
+    letters = [(i, rng.choice([1, -1])) for i in gens + rng.choices(gens, k=count - len(gens))]
+    rng.shuffle(letters)
+    word = BraidWord(m, tuple(letters))
+    want = turaev_reference(inp, word)
+    monkeypatch.setattr(tensors, "_SECTOR_BLOCK_ENTRIES", block)
+    sectors_only(monkeypatch)
+    got = turaev(inp, word)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_block_trace_memory(two_workers):
+    # per worker two 2^15-entry buffers, and int32 gathers of n^m rows
+    inp = float_family_pair(7)
+    word = full_word(random.Random(2200), 12, 30)
+    turaev(inp, BraidWord(12, word.letters[:1]))  # start the pool outside the measurement
+    tracemalloc.start()
+    try:
+        turaev(inp, word)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0e6
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +656,7 @@ def test_fusion_keeps_the_product_and_never_raises_the_cost(n, m):
             two_slot = sparse[trial % len(sparse)]
             steps = [(two_slot, first) if op.rows == n * n else (op, first) for op, first in steps]
         want = Mat.identity(C, n ** m).apply_slots(n, steps)
-        for cost in (tensors._gather_cost, lambda op: op.cols):
+        for cost in (tensors._block_cost, lambda op: op.cols):
             fused = tensors._fuse(n, steps, cost)
             assert sum(cost(op) for op, _ in fused) <= sum(cost(op) for op, _ in steps)
             assert max(op.cols for op, _ in fused) <= n ** tensors._FUSE_SLOTS
@@ -580,5 +691,5 @@ def test_fusion_leaves_factor_changes_and_n1_alone():
     assert tensors._fuse(2, steps, lambda op: op.cols) is steps
     one = Mat.from_rows(C, [[2.0]])
     steps = [(one, 0), (one, 1), (one, 0)]
-    assert tensors._fuse(1, steps, tensors._gather_cost) is steps
+    assert tensors._fuse(1, steps, tensors._block_cost) is steps
     assert slot_trace(C, 1, 3, steps) == 8
