@@ -786,11 +786,9 @@ def _block_chain(n: int, m: int, steps, start, order, sizes):
     unchanged) and its ``_block_step``; ``start``, the scale of each
     state's identity column, in the row order the trace starts from; and
     the row of each such state in the last layout.  The first step's
-    layout is also the starting one, so it gathers nothing, and a
-    diagonal step after it keeps the layout it finds: its one product is
-    a multiply of every row by the diagonal.  Operators are put in block
-    order once (``_block_order``), layouts are built once per block
-    order and slot, and gathers once per pair of layouts.
+    layout is also the starting one, so it gathers nothing.  Operators
+    are put in block order once (``_block_order``), layouts are built
+    once per block order and slot, and gathers once per pair of layouts.
     """
     dim = n ** m
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
@@ -799,7 +797,7 @@ def _block_chain(n: int, m: int, steps, start, order, sizes):
     sector[order] = np.repeat(np.arange(len(sizes)), sizes)
     orders: dict = {}  # per operator
     layouts: dict = {}  # per block order and slot
-    blocks: dict = {}  # per operator, slot and, for a diagonal step, layout
+    blocks: dict = {}  # per operator and slot
     gathers: dict = {}  # per pair of layouts
     chain = []
     columns, last = order, None
@@ -807,29 +805,19 @@ def _block_chain(n: int, m: int, steps, start, order, sizes):
         if id(op) not in orders:
             orders[id(op)] = _block_order(op)
         digits, diag, op_blocks = orders[id(op)]
+        key = (digits.tobytes(), first)
+        if key not in layouts:
+            layouts[key] = _block_layout(n, m, digits, first, sector, base, len(sizes))
+        if (id(op), first) not in blocks:
+            blocks[id(op), first] = _block_step(diag, op_blocks, layouts[key][2])
         gather = None
-        if op_blocks or last is None:
-            key = (digits.tobytes(), first)
-            if key not in layouts:
-                layouts[key] = _block_layout(n, m, digits, first, sector, base, len(sizes))
-            if (id(op), first) not in blocks:
-                blocks[id(op), first] = _block_step(diag, op_blocks, layouts[key][2])
-            step = blocks[id(op), first]
-            if last is None:
-                columns = layouts[key][1]
-            elif last != key:
-                if (last, key) not in gathers:
-                    gathers[last, key] = layouts[last][0][layouts[key][1]].astype(np.int32)
-                gather = gathers[last, key]
-        else:
-            key = last
-            if (id(op), first, key) not in blocks:
-                rest = dim // (n ** first * op.cols)
-                scale = np.diagonal(op._a)[layouts[key][1] // rest % op.cols]
-                blocks[id(op), first, key] = [(size, scale[o:o + size], [])
-                                              for o, size in zip(offsets.tolist(), sizes.tolist())]
-            step = blocks[id(op), first, key]
-        chain.append((gather, step))
+        if last is None:
+            columns = layouts[key][1]
+        elif last != key:
+            if (last, key) not in gathers:
+                gathers[last, key] = layouts[last][0][layouts[key][1]].astype(np.int32)
+            gather = gathers[last, key]
+        chain.append((gather, blocks[id(op), first]))
         last = key
     final = np.arange(dim) - base if last is None else layouts[last][0][columns]
     return chain, start[columns], final.astype(np.int32)
