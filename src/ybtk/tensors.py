@@ -61,6 +61,19 @@ and are fused before it runs:
   multiplied by the operator's diagonal, and each nontrivial component
   is one ``np.matmul`` (the block-sparse step of U(1)-symmetric tensor
   networks, Singh, Pfeifer & Vidal 2011).
+  Only the middle of the fused steps runs as block steps (``_ends``).
+  The head is the longest prefix whose slots, taken together as a
+  window, have at most ``_END_DIGITS`` = 2^8 digits, and the tail the
+  longest suffix of the rest that fits such a window.  Their products
+  ``H`` and ``T`` act on the window's digits alone, so each is built
+  once per trace, one sector of its window at a time, by block steps
+  on that sector's identity (``_end_operator``).  A column then starts
+  as its state's column of ``H``, scattered to the states that differ
+  from it only on the head's window, and ends as the sum of a row of
+  ``T`` against the entries that differ from its own diagonal entry
+  only on the tail's window.  The trace starts from identity columns
+  and reads back only their diagonal, so the ends cost one pass over a
+  window sector per column, not a pass over the sector per step.
 * Dense.  With one sector, or a step that changes the factor count, the
   columns of the whole space run the steps and keep their diagonal.
 * Fusion (``_fuse``), on either path.  Each run of square steps that
@@ -125,6 +138,13 @@ _SECTOR_BLOCK_ENTRIES = 1 << 15
 # The widest operator, in slots, that the float trace fuses neighbouring
 # steps into (see _fuse): an n^3 x n^3 operator.
 _FUSE_SLOTS = 3
+# The widest window, in digits, of the word's first and last steps that the
+# float sector trace applies in closed form (see _sector_trace).  On float
+# family 7's benchmark words, alternated in-process runs on 2 cores took a
+# median 37-47 ms per m = 12 trace at 2^6, 31-40 ms at 2^7 and 28-33 ms at
+# 2^8, and about 6 ms at m = 10 with each.  A window's tables hold, per
+# digit, a row as long as its largest sector: 256 x 70 entries for family 7.
+_END_DIGITS = 1 << 8
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOL = None
 
@@ -681,16 +701,16 @@ def _fuse(n: int, steps, cost) -> list:
     ``apply_slots`` on the identity of its window, is kept when its
     ``cost`` is no more than that of the group and the step apart;
     otherwise the step starts a group.  Steps that change the factor
-    count or whose size is not a power of n, and n = 1, leave the list
-    as it is.
+    count or act on no whole slot (``_slots``), and n = 1, leave the
+    list as it is.
     """
     if n < 2 or any(op.rows != op.cols for op, _ in steps):
         return steps
     groups: list = []  # [op, lo, hi, cost]: op acts on the slots lo .. hi - 1
     costs: dict = {}  # per step operator; a word repeats a few letters
     for op, first in steps:
-        k = round(np.log(op.cols) / np.log(n))
-        if n ** k != op.cols:
+        k = _slots(n, op)
+        if not k:
             return steps
         if op not in costs:
             costs[op] = cost(op)
@@ -778,17 +798,18 @@ def _block_product(step, x, y):
         np.matmul(block, x[r0:r1].reshape(k, -1), out=y[r0:r1].reshape(k, -1))
 
 
-def _block_chain(n: int, m: int, steps, start, order, sizes):
-    """The steps of ``_sector_trace`` on packed sectors of ``sizes``.
+def _block_chain(n: int, m: int, steps, order, sizes):
+    """Block steps on packed sectors of ``sizes``: the middle of
+    ``_sector_trace``, and ``_end_operator`` on a window.
 
     Returns per step its row gather from the previous step's layout (the
     int32 local source row of each row, ``None`` where the layout is
-    unchanged) and its ``_block_step``; ``start``, the scale of each
-    state's identity column, in the row order the trace starts from; and
-    the row of each such state in the last layout.  The first step's
-    layout is also the starting one, so it gathers nothing.  Operators
-    are put in block order once (``_block_order``), layouts are built
-    once per block order and slot, and gathers once per pair of layouts.
+    unchanged) and its ``_block_step``, then the first and the last
+    layout as ``_block_layout`` gives them; with no steps both are the
+    sector-major ``order``.  The first step's layout is also the starting
+    one, so it gathers nothing.  Operators are put in block order once
+    (``_block_order``), layouts are built once per block order and slot,
+    and gathers once per pair of layouts.
     """
     dim = n ** m
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
@@ -800,7 +821,7 @@ def _block_chain(n: int, m: int, steps, start, order, sizes):
     blocks: dict = {}  # per operator and slot
     gathers: dict = {}  # per pair of layouts
     chain = []
-    columns, last = order, None
+    start = last = None
     for op, first in steps:
         if id(op) not in orders:
             orders[id(op)] = _block_order(op)
@@ -812,40 +833,154 @@ def _block_chain(n: int, m: int, steps, start, order, sizes):
             blocks[id(op), first] = _block_step(diag, op_blocks, layouts[key][2])
         gather = None
         if last is None:
-            columns = layouts[key][1]
+            start = key
         elif last != key:
             if (last, key) not in gathers:
                 gathers[last, key] = layouts[last][0][layouts[key][1]].astype(np.int32)
             gather = gathers[last, key]
         chain.append((gather, blocks[id(op), first]))
         last = key
-    final = np.arange(dim) - base if last is None else layouts[last][0][columns]
-    return chain, start[columns], final.astype(np.int32)
+    if last is None:
+        local = np.empty(dim, dtype=np.int64)
+        local[order] = np.arange(dim) - base
+        return chain, (local, order), (local, order)
+    return chain, layouts[start][:2], layouts[last][:2]
 
 
-def _sector_trace(n: int, m: int, steps, start, order, sizes) -> complex:
-    """The float trace as a sum over sectors, each an ``L x L`` block.
+def _slots(n: int, op) -> int:
+    """The slot count of a square operator, or 0 when its size is not a power of n."""
+    k = round(np.log(op.cols) / np.log(n))
+    return k if n ** k == op.cols else 0
 
-    Each sector's columns run in blocks of about ``_SECTOR_BLOCK_ENTRIES``
-    entries through ``_map_blocks``.  A step (``_block_chain``) is one
-    row gather into its own layout, a multiply of the singleton rows by
-    the operator's diagonal, and one matmul per nontrivial component of
-    the operator's support; it reads one thread-local buffer and writes
-    the other.  Neighbouring sectors that fit one block together are
-    traced as one: their union is a block of the product too, and a task
-    per tiny sector (a diagonal braiding has n^m of them) would cost more
-    in calls than in entries.
-    """
+
+def _pack(sizes) -> np.ndarray:
+    """Neighbouring sectors joined while their union's square has at most
+    ``_SECTOR_BLOCK_ENTRIES`` entries: the union is a block of the product
+    too, and a task per tiny sector (a diagonal braiding has n^m of them)
+    would cost more in calls than in entries."""
     packed: list = []
     for size in sizes.tolist():
         if packed and (packed[-1] + size) ** 2 <= _SECTOR_BLOCK_ENTRIES:
             packed[-1] += size
         else:
             packed.append(size)
-    chain, start, final = _block_chain(n, m, steps, start, order, np.array(packed))
+    return np.array(packed)
+
+
+def _run_chain(chain, p: int, o: int, x, y):
+    """The steps of ``chain`` on packed sector ``p`` (at row ``o``) of
+    ``x``, with ``y`` as the other buffer; returns the one that holds the
+    result."""
+    size = len(x)
+    for gather, sectors in chain:
+        if gather is not None:
+            np.take(x, gather[o:o + size], axis=0, out=y, mode="clip")
+            x, y = y, x
+        _block_product(sectors[p], x, y)
+        x, y = y, x
+    return x
+
+
+def _ends(n: int, steps):
+    """A step list split into head, middle and tail.
+
+    The head is the longest prefix whose slots, taken together, have at
+    most ``_END_DIGITS`` digits; the tail is the longest suffix of the
+    rest that fits such a window too.
+    """
+    def fit(seq) -> int:
+        slots: set = set()
+        count = 0
+        for op, first in seq:
+            k = _slots(n, op)
+            slots |= set(range(first, first + k))
+            if not k or n ** len(slots) > _END_DIGITS:
+                break
+            count += 1
+        return count
+
+    head = fit(steps)
+    tail = len(steps) - fit(reversed(steps[head:]))
+    return steps[:head], steps[head:tail], steps[tail:]
+
+
+def _end_operator(n: int, m: int, steps, states):
+    """The product ``P`` of ``steps`` on their window, as tables by row.
+
+    The window is the sorted slots that the steps act on, ``k`` of them.
+    A step's slots stay consecutive there, so the steps act on the
+    ``n^k`` window digits as they do on k slots.  ``P`` is block-diagonal
+    by the sectors of the window (``_sectors``), and is built a packed
+    sector at a time by the block steps of ``_block_chain`` on its
+    identity.  Row ``u`` of ``P`` is kept over the digits ``d`` of ``u``'s
+    sector, padded to the largest sector with ``d = u``: ``shift[r, j]``
+    is the change of a state when its window digits go from ``u`` to the
+    ``j``-th such ``d`` and ``value[r, j] = P[u, d]``, where ``r`` is
+    ``u``'s place in sector-major order.  Returns each of ``states``' row
+    ``r``, ``shift``, ``value`` and the mask of the padding.
+    """
+    slots = sorted({first + i for op, first in steps for i in range(_slots(n, op))})
+    k = len(slots)
+    pos = {s: i for i, s in enumerate(slots)}
+    steps = [(op, pos[first]) for op, first in steps]
+    order, sizes = _sectors(n, k, steps)
+    packed = _pack(sizes)
+    chain, (first, _), (last, _) = _block_chain(n, k, steps, order, packed)
+    r = np.arange(n ** k)
+    j = np.arange(sizes.max())
+    lo = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    pad = j >= np.repeat(sizes, sizes)[:, None]
+    u = order[:, None]
+    d = order[np.where(pad, r[:, None], lo[:, None] + j)]
+    # P[u, d] is entry (last[u], first[d]) of u's packed sector run on its identity
+    value = np.empty(d.shape, dtype=complex)
+    o = 0
+    for p, size in enumerate(packed.tolist()):
+        x = np.eye(size, dtype=complex)
+        x = _run_chain(chain, p, o, x, np.empty_like(x))
+        value[o:o + size] = x[last[u[o:o + size]], first[d[o:o + size]]]
+        o += size
+    # each state's window digit, and each window digit's part of a state
+    digits = np.arange(n)
+    window = np.zeros((n,) * m, dtype=np.int64)
+    offset = np.zeros((n,) * k, dtype=np.int64)
+    for i, slot in enumerate(slots):
+        window += (digits * n ** (k - 1 - i)).reshape((n,) + (1,) * (m - 1 - slot))
+        offset += (digits * n ** (m - 1 - slot)).reshape((n,) + (1,) * (k - 1 - i))
+    offset = offset.ravel()
+    row = np.empty_like(order)
+    row[order] = r
+    return row[window.ravel()[states]], offset[d] - offset[u], value, pad
+
+
+def _sector_trace(n: int, m: int, steps, start, order, sizes) -> complex:
+    """The float trace as a sum over sectors, each an ``L x L`` block.
+
+    Neighbouring sectors are packed (``_pack``), and each packed sector's
+    columns run in blocks of about ``_SECTOR_BLOCK_ENTRIES`` entries
+    through ``_map_blocks``.  The steps are split into a head, a middle
+    and a tail (``_ends``), and only the middle runs on the columns.  A
+    column starts as its state's column of the head's product ``H``,
+    scattered into the middle's first layout from ``_end_operator``'s
+    tables.  A middle step (``_block_chain``) is one row gather into its
+    own layout, a multiply of the singleton rows by the operator's
+    diagonal, and one matmul per nontrivial component of the operator's
+    support; it reads one thread-local buffer and writes the other.  The
+    column's diagonal entry of the tail's product ``T`` times the middle
+    is then read from the last layout, a row of ``T`` against the
+    column's entries on the same sector of ``T``'s window.
+    """
+    packed = _pack(sizes)
+    head, middle, tail = _ends(n, steps)
+    chain, (first, _), (last, _) = _block_chain(n, m, middle, order, packed)
+    # column u of H is row u of its transpose
+    head_row, head_shift, head_value, _ = _end_operator(
+        n, m, [(op.transpose(), slot) for op, slot in reversed(head)], order)
+    tail_row, tail_shift, tail_value, pad = _end_operator(n, m, tail, order)
+    tail_value[pad] = 0
     tasks = []
     o = 0
-    for p, size in enumerate(packed):
+    for p, size in enumerate(packed.tolist()):
         width = max(1, _SECTOR_BLOCK_ENTRIES // size)
         tasks += [(p, o, size, c0, min(c0 + width, size)) for c0 in range(0, size, width)]
         o += size
@@ -859,16 +994,27 @@ def _sector_trace(n: int, m: int, steps, start, order, sizes) -> complex:
         if bufs is None:
             bufs = local.bufs = [np.empty(entries, dtype=complex) for _ in range(2)]
         x, y = (b[:size * w].reshape(size, w) for b in bufs)
-        cols = np.arange(w)
+        states = order[o + c0:o + c1, None]
+
+        def flat(layout, shift):
+            # the flat index into x of each column's row for its state plus shift
+            shift += states
+            rows = layout[shift]
+            rows *= w
+            rows += np.arange(w)[:, None]
+            return rows
+
+        r = head_row[o + c0:o + c1]
+        scaled = head_value[r]
+        scaled *= start[states]
         x.fill(0)
-        x[c0 + cols, cols] = start[o + c0:o + c1]
-        for gather, sectors in chain:
-            if gather is not None:
-                np.take(x, gather[o:o + size], axis=0, out=y, mode="clip")
-                x, y = y, x
-            _block_product(sectors[p], x, y)
-            x, y = y, x
-        return complex(x[final[o + c0:o + c1], cols].sum())
+        # a padded entry writes what its column's own entry there writes
+        np.put(x, flat(first, head_shift[r]), scaled)
+        x = _run_chain(chain, p, o, x, y)
+        r = tail_row[o + c0:o + c1]
+        ends = np.take(x, flat(last, tail_shift[r]))
+        ends *= tail_value[r]
+        return complex(ends.sum())
 
     return sum(_map_blocks(run, tasks), 0j)
 
@@ -882,9 +1028,12 @@ def slot_trace(field: Field, n: int, m: int, steps) -> Scalar:
     starting columns, then keeps only the diagonal of each column block.
     When the supports of the remaining steps split the states into
     several sectors (``_sectors``), the state is block-diagonal by sector
-    and each sector is traced on its own (``_sector_trace``), each step
-    one row gather into its own layout and one ``np.matmul`` per
-    nontrivial component of its operator's support; otherwise, or when a
+    and each sector is traced on its own (``_sector_trace``): the steps
+    whose slots fit a window of at most 2^8 digits at the word's start
+    and at its end are applied in closed form, as the first and the last
+    step of each column, and each step of the middle is one row gather
+    into its own layout and one ``np.matmul`` per nontrivial component
+    of its operator's support; otherwise, or when a
     step changes the factor count, the columns of the whole space run
     through ``_column_blocks``.  On either path, neighbouring square
     steps are first multiplied into operators of at most 3 slots

@@ -509,8 +509,7 @@ def test_one_block_step_matches_apply_slots(n, m):
         want = Mat(C, n ** m, 3, state).apply_slots(n, [(op, first)])._a
         # each sector on its own, then all of them packed into one
         for packed in (sizes, np.array([n ** m])):
-            # with each state as its own scale, the starting scales are the states in row order
-            chain, rows, _ = tensors._block_chain(n, m, [(op, first)], np.arange(n ** m), order, packed)
+            chain, (_, rows), _ = tensors._block_chain(n, m, [(op, first)], order, packed)
             [(gather, step)] = chain
             assert gather is None
             o = 0
@@ -560,8 +559,62 @@ def test_block_trace_matches_kron_reference(two_workers, monkeypatch, name):
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+# (input, strands, the generators a word uses, letters, sector block entries)
+HEAD_TAIL_INPUTS = {
+    # every step of a word on 8 of 9 slots fits the head's window
+    "empty_middle": (lambda: float_family_pair(7), 9, range(1, 8), 27, 1 << 15),
+    "shared_slots": (lambda: float_family_pair(7), 9, range(1, 9), 27, 1 << 15),
+    # longer words leave steps to the middle
+    "family2_middle": (lambda: float_family_pair(2), 9, range(1, 9), 60, 1 << 15),
+    "family7_middle": (lambda: float_family_pair(7), 9, range(1, 9), 60, 1 << 15),
+    "family9_middle": (lambda: float_family_pair(9), 9, range(1, 9), 60, 1 << 15),
+    # 3^5 and 4^4 digits fit 2^8, one more slot does not
+    "sl3": (lambda: sl_float_input(3), 6, range(1, 6), 30, 1 << 15),
+    "sl4": (lambda: sl_float_input(4), 5, range(1, 5), 25, 1 << 15),
+    "skipped_generator": (lambda: float_family_pair(7), 9, (1, 2, 3, 5, 6, 7, 8), 60, 1 << 15),
+    "split_columns": (lambda: float_family_pair(7), 9, range(1, 9), 60, 1 << 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEAD_TAIL_INPUTS))
+def test_head_and_tail_match_kron_reference(two_workers, monkeypatch, name):
+    make, m, gens, count, block = HEAD_TAIL_INPUTS[name]
+    inp = make()
+    n = inp.n
+    rng = random.Random(2800)
+    letters = [(i, rng.choice([1, -1])) for i in [*gens, *rng.choices(gens, k=count - len(gens))]]
+    rng.shuffle(letters)
+    word = BraidWord(m, tuple(letters))
+    want = turaev_reference(inp, word)
+    monkeypatch.setattr(tensors, "_SECTOR_BLOCK_ENTRIES", block)
+    sectors_only(monkeypatch)
+    fused, chains, windows = [], [], []
+    fuse, block_chain, end_operator = tensors._fuse, tensors._block_chain, tensors._end_operator
+    monkeypatch.setattr(tensors, "_fuse", lambda *a: fused.append(fuse(*a)) or fused[-1])
+    monkeypatch.setattr(tensors, "_block_chain", lambda *a: chains.append(a[2]) or block_chain(*a))
+    monkeypatch.setattr(tensors, "_end_operator", lambda *a: windows.append(
+        {first + i for op, first in a[2] for i in range(tensors._slots(n, op))}) or end_operator(*a))
+    got = turaev(inp, word)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    # the middle's chain is built first, then the head's and the tail's on their windows
+    head, tail = windows
+    assert len(chains[0]) < len(fused[0])
+    assert max(n ** len(head), n ** len(tail)) <= tensors._END_DIGITS
+    if name == "empty_middle":
+        assert chains[0] == [] and tail == set()
+    elif name == "shared_slots":
+        assert head & tail
+    elif name in ("sl3", "sl4"):
+        assert max(len(head), len(tail)) == (5 if n == 3 else 4)
+    else:
+        assert chains[0]
+
+
 def test_block_trace_memory(two_workers):
-    # per worker two 2^15-entry buffers, and int32 gathers of n^m rows
+    # per worker two 2^15-entry buffers and its task's scatter indices, the
+    # middle's int32 gathers of n^m rows, and the head's and tail's tables:
+    # per window digit a row of its largest window sector, at most 2^8 x 70
+    # entries of a complex value and an int64 shift each
     inp = float_family_pair(7)
     word = full_word(random.Random(2200), 12, 30)
     turaev(inp, BraidWord(12, word.letters[:1]))  # start the pool outside the measurement

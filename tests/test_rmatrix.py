@@ -29,6 +29,7 @@ from ybtk.rmatrix import (
     verify_pair,
     verify_quadruple,
 )
+from ybtk.invariants import BraidWord, InvariantInput, turaev
 from ybtk.scalars import Field, exact_tag, float_tag
 from ybtk.tensors import Mat, Tensor4, embed, permutation
 
@@ -278,6 +279,49 @@ def test_float_check_agrees_with_exact_at_complex_points(label, r):
         if want is not None:
             want = complex(*map(float, want.as_gauss()))
             assert abs(approx[1].alpha_sq - want) <= 1e-9 * max(1.0, abs(want)), (label, point)
+
+
+def _gauge_inputs():
+    """Every n = 2 catalog fixture with the basis swap, and U_q(sl_3) with a 3-cycle."""
+    out = [("family%d%s" % (f.id, v or ""), fixture(f.id, variant=v).r, (1, 0))
+           for f in families() for v in (f.variants or (None,))]
+    out.append(("sl3", sl_n_r(Field(exact_tag("q")), 3), (1, 2, 0)))
+    return out
+
+
+@pytest.mark.parametrize("label,r,perm", [pytest.param(*x, id=x[0]) for x in _gauge_inputs()])
+def test_permutation_gauge_keeps_verdicts_and_invariants(label, r, perm):
+    # (sigma (x) sigma) R (sigma (x) sigma)^-1 for a permutation sigma keeps
+    # every verdict and alpha^2, takes mu to sigma mu sigma^-1 and keeps the
+    # invariants; it reorders the digits, and with them the float trace's layouts
+    n, f = r.n, r.field
+    sigma = Mat.from_rows(f, [[f.one if perm[j] == i else f.zero for j in range(n)] for i in range(n)])
+    gauge = Mat.identity(f, n * n).apply_slots(n, [(sigma, 0), (sigma, 1)])
+    gauged = Tensor4(n, gauge @ r.mat @ gauge.transpose())
+    (report, outcome), (g_report, g_outcome) = full_check(r), full_check(gauged)
+    assert {k: v.ok for k, v in g_report.results.items()} == {k: v.ok for k, v in report.results.items()}
+    assert g_outcome.alpha_sq == outcome.alpha_sq
+    try:
+        want = enhance(r)
+    except (NotBiinvertibleError, NotEnhanceableError) as e:
+        with pytest.raises(type(e)):
+            enhance(gauged)
+        return
+    got = enhance(gauged)
+    assert got.alpha == want.alpha
+    for g, w in zip(got.pairs, want.pairs):
+        assert g.mu.eq(sigma @ w.mu @ sigma.transpose())
+        assert g.s.mat.eq(gauge @ w.s.mat @ gauge.transpose())
+    point = {"p": complex(1.1, -0.3), "q": complex(1.3, 0.2) if n == 2 else complex(0.9, 0.4)}
+    point = {k: point[k] for k in f.tag.indeterminates}
+    inputs = [InvariantInput(Tensor4(n, pair.s.mat.evaluate(point, C)), pair.mu.evaluate(point, C), C.one, C.one)
+              for pair in (want.pairs[0], got.pairs[0])]
+    rng = random.Random(label)
+    m = 9 if n == 2 else 6
+    for count in (m, 3 * m, 6 * m):
+        word = BraidWord(m, tuple((rng.randint(1, m - 1), rng.choice([1, -1])) for _ in range(count)))
+        plain, gauged_value = (turaev(inp, word) for inp in inputs)
+        assert abs(gauged_value - plain) <= 1e-12 * max(1.0, abs(plain)), word.format()
 
 
 def test_enhancement_not_biinvertible_is_a_value():
