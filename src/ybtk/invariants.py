@@ -195,8 +195,8 @@ def turaev(inp: InvariantInput, word: BraidWord,
     """The normalised Markov trace of the braid word."""
     # Tr(rho mu^(x m)) = Tr((mu^(x m) rho)^T): mu^T on every slot of the
     # identity, then the transposed letters; mu first keeps the exact
-    # state as sparse as mu^(x m), and the float trace folds a diagonal
-    # mu^T into its starting columns; the letters check the strand cap first
+    # state as sparse as mu^(x m), the float trace folds a diagonal mu^T
+    # into the first letter on its strand, and the letters check the cap
     letters = _transposed_letters(inp.s, word, max_strands)
     mu_t = inp.mu.transpose()
     steps = [(mu_t, j) for j in range(word.strands)] + letters

@@ -40,9 +40,10 @@ trace is one cap step.
 list builds on the identity of ``(C^n)^(x m)``, the Markov trace behind
 ``turaev``.  The exact backend sums the diagonal of the product.  The
 float backend allocates no full state.  Leading diagonal one-slot
-steps (``mu^T`` on every slot, for a diagonal ``mu``) become the scale of
-the starting identity columns.  The other steps then decide the path,
-and are fused before it runs:
+steps (``mu^T`` on every slot, for a diagonal ``mu``) scale the columns
+of the first step on their slot, past the steps that commute with them
+(``_fold_diagonal``).  The steps then decide the path, and are fused
+before it runs:
 
 * Sectors.  Link two states when a step, at its own slots, has a
   nonzero off-diagonal entry between them, that is when their digits
@@ -62,9 +63,11 @@ and are fused before it runs:
   is one ``np.matmul`` (the block-sparse step of U(1)-symmetric tensor
   networks, Singh, Pfeifer & Vidal 2011).
   Only the middle of the fused steps runs as block steps (``_ends``).
-  The head is the longest prefix whose slots, taken together as a
-  window, have at most ``_END_DIGITS`` = 2^8 digits, and the tail the
-  longest suffix of the rest that fits such a window.  Their products
+  A trace is that of any rotation of its steps; in the rotation that
+  leaves the fewest to the middle, the head is the longest prefix whose
+  slots, taken together as a window, have at most ``_END_DIGITS`` = 2^8
+  digits, and the tail the longest suffix of the rest that fits such a
+  window.  Their products
   ``H`` and ``T`` act on the window's digits alone, so each is built
   once per trace, one sector of its window at a time, by block steps
   on that sector's identity (``_end_operator``).  A column then starts
@@ -98,20 +101,17 @@ rows of ``B``.  Wherever entries are summed, the rows and columns are
 walked in ascending order, as a dense loop would: ``RatFun`` keeps no
 gcd, so the order of additions decides the printed form of a sum.
 
-Each backend has one step runner.  Float states are processed in column
-blocks of ``_BLOCK_ENTRIES`` entries, each running the steps inline
-through ``np.matmul``, in block order, so repeated calls agree bitwise.
-Sector blocks (``_SECTOR_BLOCK_ENTRIES`` entries) run on a module-level
-thread pool with one worker per usable core when there are several of
-them, and their results are summed in block order too.
+Each backend has one step runner.  Float states are processed on the
+calling thread in column blocks of ``_BLOCK_ENTRIES`` entries, or of
+``_SECTOR_BLOCK_ENTRIES`` on the sector path, in block order, so
+repeated calls agree bitwise.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
-import os
-import threading
 from typing import Callable
 
 import numpy as np
@@ -123,17 +123,16 @@ __all__ = ["Mat", "Tensor4", "permutation", "embed", "yb_sides"]
 
 # Column-block size of the float kernel, in entries (2 MB; 2^16 to 2^18
 # ran alike): a call holds its input, its output and a few blocks instead
-# of three full states, and a trace holds no full state.  Dense blocks
-# stay off the thread pool: BLAS runs its own threads, and on 2 cores
+# of three full states, and a trace holds no full state.  On 2 cores
 # (OpenBLAS, 2 threads) a dense one-sector trace at m = 10 with 28 letters
-# took 0.08-0.10 s inline through np.matmul, 0.11-0.17 s with np.matmul
-# blocks on the pool and 0.26-0.43 s with per-nonzero ufunc steps there.
+# took 0.08-0.10 s through np.matmul, and 0.26-0.43 s with per-nonzero
+# ufunc steps.
 _BLOCK_ENTRIES = 1 << 17
 # Sector blocks (see slot_trace) gather rows from anywhere in their
 # block.  With a gather and a multiply-add per off-diagonal term they ran
 # about 8% faster at 2^15 or 2^16 entries than at 2^17 on 2 cores with
-# 2 MB of L2 cache each.  Each worker holds two buffers of this size,
-# 1 MB at 2^15 against 4 MB at 2^17.
+# 2 MB of L2 cache each.  A trace holds two buffers of this size, reused
+# by all its blocks: 1 MB at 2^15 against 4 MB at 2^17.
 _SECTOR_BLOCK_ENTRIES = 1 << 15
 # The widest operator, in slots, that the float trace fuses neighbouring
 # steps into (see _fuse): an n^3 x n^3 operator.
@@ -145,8 +144,11 @@ _FUSE_SLOTS = 3
 # 2^8, and about 6 ms at m = 10 with each.  A window's tables hold, per
 # digit, a row as long as its largest sector: 256 x 70 entries for family 7.
 _END_DIGITS = 1 << 8
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_POOL = None
+# The packing of a window's sectors (see _pack) for the identity an end
+# operator is built on, whose cross-sector zeros cost products: on float
+# family 7's m = 10 benchmark words (2 cores, numpy 2.4, OpenBLAS) an end
+# took a median 0.54 ms at 2^13, 0.58 at 2^14, 0.63 at 2^12, 0.77 at 2^15.
+_END_BLOCK_ENTRIES = 1 << 13
 
 
 _NO_ROW: dict = {}  # the missing row of an exact matrix; never written
@@ -568,27 +570,6 @@ def _matmul_steps(plan, block):
     return block.reshape(-1, w)
 
 
-def _executor():
-    global _POOL
-    if _POOL is None:
-        # imported here: the import costs a few ms that most callers never need
-        from concurrent.futures import ThreadPoolExecutor
-
-        _POOL = ThreadPoolExecutor(_WORKERS)
-    return _POOL
-
-
-def _map_blocks(fn, tasks) -> list:
-    """``fn`` on each sector-trace task, results in task order.
-
-    Several tasks on several cores go to the pool; otherwise they run
-    inline.
-    """
-    if len(tasks) > 1 and _WORKERS > 1:
-        return list(_executor().map(fn, tasks))
-    return [fn(t) for t in tasks]
-
-
 def _block_width(peak: int) -> int:
     """Columns per float block, for a plan whose largest state has ``peak`` rows."""
     return max(1, _BLOCK_ENTRIES // peak)
@@ -600,20 +581,31 @@ def _column_blocks(peak: int, cols: int, run) -> list:
     return [run(c0, min(c0 + width, cols)) for c0 in range(0, cols, width)]
 
 
-def _leading_diagonal(n: int, m: int, steps):
-    """The diagonal that the leading diagonal one-slot steps make, and their count.
+def _fold_diagonal(field: Field, n: int, steps) -> list:
+    """The steps with the leading diagonal one-slot steps folded into later ones.
 
-    Those steps, applied to the identity, give ``diag(start)``.
+    A slot's diagonal commutes with the steps before the first step on
+    that slot, so it scales that step's columns at the slot's digit.  One
+    that no square step on whole slots reaches stays a one-slot step, first.
     """
-    factors = [np.ones(n, dtype=complex) for _ in range(m)]
+    factors: dict = {}
     count = 0
     for op, first in steps:
         a = op._a
-        if a.shape != (n, n) or np.count_nonzero(a - np.diag(np.diagonal(a))):
+        if a.shape != (n, n) or np.count_nonzero(a) != np.count_nonzero(np.diagonal(a)):
             break
-        factors[first] = factors[first] * np.diagonal(a)
+        factors[first] = factors.get(first, 1) * np.diagonal(a)
         count += 1
-    return functools.reduce(np.kron, factors, np.ones(1, dtype=complex)), count
+    steps = list(steps[count:])
+    for i, (op, first) in enumerate(steps):
+        k = _slots(n, op) if n > 1 and op.rows == op.cols else 0
+        if not (k and factors):
+            break
+        slots = range(first, first + k)
+        if factors.keys() & slots:
+            scale = functools.reduce(np.multiply.outer, [factors.pop(s, np.ones(n)) for s in slots])
+            steps[i] = Mat(field, op.rows, op.cols, op._a * scale.ravel()), first
+    return [(Mat(field, n, n, np.diag(f)), s) for s, f in sorted(factors.items())] + steps
 
 
 def _components(a):
@@ -621,15 +613,18 @@ def _components(a):
     whose edges are the nonzero off-diagonal entries of the square array
     ``a``, either way round: min-label passes with pointer jumping.
 
-    The labels are read-only and kept per support: a trace prices every
-    candidate of ``_fuse`` by them, and a word's operators share a few
-    supports.
+    The labels are read-only and kept per support (``_support``): a
+    trace prices every candidate of ``_fuse`` by them, and a word's
+    operators share a few supports.
     """
-    return _support_components((a != 0).tobytes(), len(a))
+    return _support((a != 0).tobytes(), len(a))[0]
 
 
 @functools.lru_cache(maxsize=128)
-def _support_components(support: bytes, k: int):
+def _support(support: bytes, k: int):
+    """The component labels of a support (``_components``), then its block
+    order (``_block_order``): the digits, the singleton count and
+    ``(lo, hi)`` per nontrivial component."""
     link = np.frombuffer(support, dtype=bool).reshape(k, k)
     link = link | link.T
     label = np.arange(k)
@@ -637,9 +632,14 @@ def _support_components(support: bytes, k: int):
         new = np.minimum(label, np.where(link, label, k).min(axis=1, initial=k))
         new = new[new]
         if np.array_equal(new, label):
-            label.flags.writeable = False
-            return label
+            break
         label = new
+    size = np.bincount(label, minlength=k)[label]
+    digits = np.lexsort((label, size > 1))
+    singles = int(np.count_nonzero(size == 1))
+    bounds = [0, *(np.flatnonzero(np.diff(label[digits])) + 1).tolist(), k]
+    label.flags.writeable = digits.flags.writeable = False
+    return label, digits, singles, tuple((lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo >= singles)
 
 
 def _sectors(n: int, m: int, steps):
@@ -661,10 +661,13 @@ def _sectors(n: int, m: int, steps):
     if any(op.rows != op.cols for op, _ in steps):
         return states, np.array([dim])
     maps: dict = {}
+    supports: dict = {}  # per operator; a word repeats a few letters
     for op, first in steps:
-        link = op._a != 0
-        np.fill_diagonal(link, False)
-        key = ((link | link.T).tobytes(), first)
+        if id(op) not in supports:
+            link = op._a != 0
+            np.fill_diagonal(link, False)
+            supports[id(op)] = (link | link.T).tobytes()
+        key = (supports[id(op)], first)
         if key not in maps:
             rest = dim // (n ** first * op.cols)
             loc = states // rest % op.cols
@@ -737,15 +740,10 @@ def _block_order(op):
     Block order puts the digits of singleton components first, then
     those of each nontrivial component (``_components``), ascending.
     """
-    least = _components(op._a)
-    size = np.bincount(least, minlength=len(least))[least]
-    digits = np.lexsort((least, size > 1))
-    singles = int(np.count_nonzero(size == 1))
+    _, digits, singles, bounds = _support((op._a != 0).tobytes(), op.cols)
     a = op._a[np.ix_(digits, digits)]
-    bounds = [0, *(np.flatnonzero(np.diff(least[digits])) + 1).tolist(), len(least)]
-    blocks = [(lo, hi, np.ascontiguousarray(a[lo:hi, lo:hi]))
-              for lo, hi in zip(bounds, bounds[1:]) if lo >= singles]
-    return digits, np.diagonal(a)[:singles].copy(), blocks
+    return digits, np.diagonal(a)[:singles].copy(), [
+        (lo, hi, np.ascontiguousarray(a[lo:hi, lo:hi])) for lo, hi in bounds]
 
 
 def _block_layout(n: int, m: int, digits, first: int, sector, base, packed: int):
@@ -849,18 +847,18 @@ def _block_chain(n: int, m: int, steps, order, sizes):
 
 def _slots(n: int, op) -> int:
     """The slot count of a square operator, or 0 when its size is not a power of n."""
-    k = round(np.log(op.cols) / np.log(n))
+    k = round(math.log(op.cols, n))
     return k if n ** k == op.cols else 0
 
 
-def _pack(sizes) -> np.ndarray:
+def _pack(sizes, entries: int) -> np.ndarray:
     """Neighbouring sectors joined while their union's square has at most
-    ``_SECTOR_BLOCK_ENTRIES`` entries: the union is a block of the product
-    too, and a task per tiny sector (a diagonal braiding has n^m of them)
-    would cost more in calls than in entries."""
+    ``entries`` entries: the union is a block of the product too, and a
+    task per tiny sector (a diagonal braiding has n^m of them) would cost
+    more in calls than in entries."""
     packed: list = []
     for size in sizes.tolist():
-        if packed and (packed[-1] + size) ** 2 <= _SECTOR_BLOCK_ENTRIES:
+        if packed and (packed[-1] + size) ** 2 <= entries:
             packed[-1] += size
         else:
             packed.append(size)
@@ -882,25 +880,33 @@ def _run_chain(chain, p: int, o: int, x, y):
 
 
 def _ends(n: int, steps):
-    """A step list split into head, middle and tail.
+    """A rotation of a step list, split into head, middle and tail.
 
-    The head is the longest prefix whose slots, taken together, have at
-    most ``_END_DIGITS`` digits; the tail is the longest suffix of the
-    rest that fits such a window too.
+    A trace is that of any rotation of its steps.  In a rotation the head
+    is the longest prefix whose slots, taken together, have at most
+    ``_END_DIGITS`` digits, and the tail the longest suffix of the rest
+    that fits such a window too; the first rotation that leaves the
+    fewest steps between them is kept.
     """
+    # a step on no whole slot counts as 64 slots: it fits no window
+    masks = [((1 << (_slots(n, op) or 64)) - 1) << first for op, first in steps]
+
     def fit(seq) -> int:
-        slots: set = set()
-        count = 0
-        for op, first in seq:
-            k = _slots(n, op)
-            slots |= set(range(first, first + k))
-            if not k or n ** len(slots) > _END_DIGITS:
+        window = count = 0
+        for mask in seq:
+            window |= mask
+            if n ** bin(window).count("1") > _END_DIGITS:
                 break
             count += 1
         return count
 
-    head = fit(steps)
-    tail = len(steps) - fit(reversed(steps[head:]))
+    def split(r):
+        turned = masks[r:] + masks[:r]
+        head = fit(turned)
+        return r, head, len(turned) - fit(reversed(turned[head:]))
+
+    r, head, tail = max(map(split, range(len(steps) or 1)), key=lambda s: s[1] - s[2])
+    steps = steps[r:] + steps[:r]
     return steps[:head], steps[head:tail], steps[tail:]
 
 
@@ -924,7 +930,7 @@ def _end_operator(n: int, m: int, steps, states):
     pos = {s: i for i, s in enumerate(slots)}
     steps = [(op, pos[first]) for op, first in steps]
     order, sizes = _sectors(n, k, steps)
-    packed = _pack(sizes)
+    packed = _pack(sizes, _END_BLOCK_ENTRIES)
     chain, (first, _), (last, _) = _block_chain(n, k, steps, order, packed)
     r = np.arange(n ** k)
     j = np.arange(sizes.max())
@@ -953,24 +959,24 @@ def _end_operator(n: int, m: int, steps, states):
     return row[window.ravel()[states]], offset[d] - offset[u], value, pad
 
 
-def _sector_trace(n: int, m: int, steps, start, order, sizes) -> complex:
+def _sector_trace(n: int, m: int, steps, order, sizes) -> complex:
     """The float trace as a sum over sectors, each an ``L x L`` block.
 
     Neighbouring sectors are packed (``_pack``), and each packed sector's
-    columns run in blocks of about ``_SECTOR_BLOCK_ENTRIES`` entries
-    through ``_map_blocks``.  The steps are split into a head, a middle
-    and a tail (``_ends``), and only the middle runs on the columns.  A
-    column starts as its state's column of the head's product ``H``,
-    scattered into the middle's first layout from ``_end_operator``'s
-    tables.  A middle step (``_block_chain``) is one row gather into its
-    own layout, a multiply of the singleton rows by the operator's
-    diagonal, and one matmul per nontrivial component of the operator's
-    support; it reads one thread-local buffer and writes the other.  The
-    column's diagonal entry of the tail's product ``T`` times the middle
-    is then read from the last layout, a row of ``T`` against the
-    column's entries on the same sector of ``T``'s window.
+    columns run in blocks of about ``_SECTOR_BLOCK_ENTRIES`` entries, in
+    turn.  A rotation of the steps is split into a head, a middle and a
+    tail (``_ends``), and only the middle runs on the columns.  A column
+    starts as its state's column of the head's product ``H``, scattered
+    into the middle's first layout from ``_end_operator``'s tables.  A
+    middle step (``_block_chain``) is one row gather into its own layout,
+    a multiply of the singleton rows by the operator's diagonal, and one
+    matmul per nontrivial component of the operator's support; it reads
+    one of the trace's two buffers and writes the other.  The column's
+    diagonal entry of the tail's product ``T`` times the middle is then
+    read from the last layout, a row of ``T`` against the column's
+    entries on the same sector of ``T``'s window.
     """
-    packed = _pack(sizes)
+    packed = _pack(sizes, _SECTOR_BLOCK_ENTRIES)
     head, middle, tail = _ends(n, steps)
     chain, (first, _), (last, _) = _block_chain(n, m, middle, order, packed)
     # column u of H is row u of its transpose
@@ -985,14 +991,11 @@ def _sector_trace(n: int, m: int, steps, start, order, sizes) -> complex:
         tasks += [(p, o, size, c0, min(c0 + width, size)) for c0 in range(0, size, width)]
         o += size
     entries = max(size * (c1 - c0) for _, _, size, c0, c1 in tasks)
-    local = threading.local()
+    bufs = [np.empty(entries, dtype=complex) for _ in range(2)]
 
     def run(task):
         p, o, size, c0, c1 = task
         w = c1 - c0
-        bufs = getattr(local, "bufs", None)
-        if bufs is None:
-            bufs = local.bufs = [np.empty(entries, dtype=complex) for _ in range(2)]
         x, y = (b[:size * w].reshape(size, w) for b in bufs)
         states = order[o + c0:o + c1, None]
 
@@ -1005,18 +1008,16 @@ def _sector_trace(n: int, m: int, steps, start, order, sizes) -> complex:
             return rows
 
         r = head_row[o + c0:o + c1]
-        scaled = head_value[r]
-        scaled *= start[states]
         x.fill(0)
         # a padded entry writes what its column's own entry there writes
-        np.put(x, flat(first, head_shift[r]), scaled)
+        np.put(x, flat(first, head_shift[r]), head_value[r])
         x = _run_chain(chain, p, o, x, y)
         r = tail_row[o + c0:o + c1]
         ends = np.take(x, flat(last, tail_shift[r]))
         ends *= tail_value[r]
         return complex(ends.sum())
 
-    return sum(_map_blocks(run, tasks), 0j)
+    return sum(map(run, tasks), 0j)
 
 
 def slot_trace(field: Field, n: int, m: int, steps) -> Scalar:
@@ -1024,21 +1025,15 @@ def slot_trace(field: Field, n: int, m: int, steps) -> Scalar:
 
     Equals ``Mat.identity(field, n**m).apply_slots(n, steps).trace()``,
     which is what the exact backend runs.  The float backend allocates no
-    full state: it folds the leading diagonal one-slot steps into the
-    starting columns, then keeps only the diagonal of each column block.
-    When the supports of the remaining steps split the states into
-    several sectors (``_sectors``), the state is block-diagonal by sector
-    and each sector is traced on its own (``_sector_trace``): the steps
-    whose slots fit a window of at most 2^8 digits at the word's start
-    and at its end are applied in closed form, as the first and the last
-    step of each column, and each step of the middle is one row gather
-    into its own layout and one ``np.matmul`` per nontrivial component
-    of its operator's support; otherwise, or when a
-    step changes the factor count, the columns of the whole space run
-    through ``_column_blocks``.  On either path, neighbouring square
-    steps are first multiplied into operators of at most 3 slots
-    (``_fuse``) where that path's cost per state, ``_block_cost`` or
-    ``op.cols``, is no more than that of the parts.
+    full state and keeps only the diagonal of each column block.  It
+    folds the leading diagonal one-slot steps into later ones
+    (``_fold_diagonal``), then traces each sector on its own
+    (``_sector_trace``) when the supports of the steps give several
+    (``_sectors``); otherwise, or when a step changes the factor count,
+    the columns of the whole space run through ``_column_blocks``.  On
+    either path, neighbouring square steps are first fused (``_fuse``)
+    under that path's cost per state, ``_block_cost`` or ``op.cols``.
+    The module docstring describes both paths.
     """
     dim = n ** m
     _, rows, peak = _plan(n, dim, steps)
@@ -1046,18 +1041,16 @@ def slot_trace(field: Field, n: int, m: int, steps) -> Scalar:
         raise ValueError("a traced product must keep the factor count")
     if field.exact:
         return Mat.identity(field, dim).apply_slots(n, steps).trace()
-    start, folded = _leading_diagonal(n, m, steps)
-    steps = steps[folded:]
+    steps = _fold_diagonal(field, n, steps)
     order, sizes = _sectors(n, m, steps)
     if len(sizes) > 1:
-        return _sector_trace(n, m, _fuse(n, steps, _block_cost), start, order, sizes)
-    steps = _fuse(n, steps, lambda op: op.cols)
-    plan = _plan(n, dim, steps)[0]
+        return _sector_trace(n, m, _fuse(n, steps, _block_cost), order, sizes)
+    plan = _plan(n, dim, _fuse(n, steps, lambda op: op.cols))[0]
 
     def diagonal(c0, c1):
         cols = np.arange(c1 - c0)
         block = np.zeros((dim, c1 - c0), dtype=complex)
-        block[c0 + cols, cols] = start[c0:c1]
+        block[c0 + cols, cols] = 1
         return complex(_matmul_steps(plan, block)[c0 + cols, cols].sum())
 
     return sum(_column_blocks(peak, dim, diagonal), 0j)

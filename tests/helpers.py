@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: random values and matrices."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import numpy as np
 from ybtk.errors import SingularMatrixError
 from ybtk.rmatrix import AxiomResult
 from ybtk.scalars import Field, _cmul, _format_poly, _monomial_quotient, _Poly, substitute
+from ybtk import tensors
 from ybtk.tensors import Mat, Tensor4, permutation
 
 
@@ -638,3 +640,174 @@ class FractionRatFun:
                       for m, c in self.num.terms.items()}
             return _format_poly(_Poly(self.num.nv, folded), self.syms)
         return "(%s)/(%s)" % (_format_poly(self.num, self.syms), _format_poly(self.den, self.syms))
+
+
+# ---------------------------------------------------------------------------
+# earlier versions of the float trace and its plan helpers (the leading
+# diagonal as starting columns, ends of the word as given, window sectors
+# packed like the whole space's): references for the differential tests
+# in test_kernel.py
+
+
+def earlier_slots(n: int, op) -> int:
+    k = round(np.log(op.cols) / np.log(n))
+    return k if n ** k == op.cols else 0
+
+
+def earlier_leading_diagonal(n: int, m: int, steps):
+    """The diagonal that the leading diagonal one-slot steps make, and their count."""
+    factors = [np.ones(n, dtype=complex) for _ in range(m)]
+    count = 0
+    for op, first in steps:
+        a = op._a
+        if a.shape != (n, n) or np.count_nonzero(a - np.diag(np.diagonal(a))):
+            break
+        factors[first] = factors[first] * np.diagonal(a)
+        count += 1
+    return functools.reduce(np.kron, factors, np.ones(1, dtype=complex)), count
+
+
+def earlier_sectors(n: int, m: int, steps):
+    """The states in sector-major order and the sector sizes, one support key per step."""
+    dim = n ** m
+    states = np.arange(dim)
+    if any(op.rows != op.cols for op, _ in steps):
+        return states, np.array([dim])
+    maps: dict = {}
+    for op, first in steps:
+        link = op._a != 0
+        np.fill_diagonal(link, False)
+        key = ((link | link.T).tobytes(), first)
+        if key not in maps:
+            rest = dim // (n ** first * op.cols)
+            loc = states // rest % op.cols
+            maps[key] = states + (tensors._components(op._a)[loc] - loc) * rest
+    label = states
+    while True:
+        new = label.copy()
+        for idx in maps.values():
+            np.minimum.at(new, idx, new.copy())
+            np.minimum(new, new[idx], out=new)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    _, sector = np.unique(label, return_inverse=True)
+    return np.argsort(sector, kind="stable"), np.bincount(sector)
+
+
+def earlier_block_order(op):
+    """Digits in block order, the singleton diagonal and ``(lo, hi, block)`` per component."""
+    least = tensors._components(op._a)
+    size = np.bincount(least, minlength=len(least))[least]
+    digits = np.lexsort((least, size > 1))
+    singles = int(np.count_nonzero(size == 1))
+    a = op._a[np.ix_(digits, digits)]
+    bounds = [0, *(np.flatnonzero(np.diff(least[digits])) + 1).tolist(), len(least)]
+    blocks = [(lo, hi, np.ascontiguousarray(a[lo:hi, lo:hi]))
+              for lo, hi in zip(bounds, bounds[1:]) if lo >= singles]
+    return digits, np.diagonal(a)[:singles].copy(), blocks
+
+
+def earlier_pack(sizes) -> np.ndarray:
+    packed: list = []
+    for size in sizes.tolist():
+        if packed and (packed[-1] + size) ** 2 <= tensors._SECTOR_BLOCK_ENTRIES:
+            packed[-1] += size
+        else:
+            packed.append(size)
+    return np.array(packed)
+
+
+def earlier_ends(n: int, steps):
+    """Head, middle and tail of the step list as given, not rotated."""
+    def fit(seq) -> int:
+        slots: set = set()
+        count = 0
+        for op, first in seq:
+            k = earlier_slots(n, op)
+            slots |= set(range(first, first + k))
+            if not k or n ** len(slots) > tensors._END_DIGITS:
+                break
+            count += 1
+        return count
+
+    head = fit(steps)
+    tail = len(steps) - fit(reversed(steps[head:]))
+    return steps[:head], steps[head:tail], steps[tail:]
+
+
+def earlier_end_operator(n: int, m: int, steps, states):
+    """The product of ``steps`` on their window as tables by row, with
+    the window's sectors packed like the whole space's."""
+    slots = sorted({first + i for op, first in steps for i in range(earlier_slots(n, op))})
+    k = len(slots)
+    pos = {s: i for i, s in enumerate(slots)}
+    steps = [(op, pos[first]) for op, first in steps]
+    order, sizes = earlier_sectors(n, k, steps)
+    packed = earlier_pack(sizes)
+    chain, (first, _), (last, _) = tensors._block_chain(n, k, steps, order, packed)
+    r = np.arange(n ** k)
+    j = np.arange(sizes.max())
+    lo = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    pad = j >= np.repeat(sizes, sizes)[:, None]
+    u = order[:, None]
+    d = order[np.where(pad, r[:, None], lo[:, None] + j)]
+    value = np.empty(d.shape, dtype=complex)
+    o = 0
+    for p, size in enumerate(packed.tolist()):
+        x = np.eye(size, dtype=complex)
+        x = tensors._run_chain(chain, p, o, x, np.empty_like(x))
+        value[o:o + size] = x[last[u[o:o + size]], first[d[o:o + size]]]
+        o += size
+    digits = np.arange(n)
+    window = np.zeros((n,) * m, dtype=np.int64)
+    offset = np.zeros((n,) * k, dtype=np.int64)
+    for i, slot in enumerate(slots):
+        window += (digits * n ** (k - 1 - i)).reshape((n,) + (1,) * (m - 1 - slot))
+        offset += (digits * n ** (m - 1 - slot)).reshape((n,) + (1,) * (k - 1 - i))
+    offset = offset.ravel()
+    row = np.empty_like(order)
+    row[order] = r
+    return row[window.ravel()[states]], offset[d] - offset[u], value, pad
+
+
+def earlier_slot_trace(n: int, m: int, steps) -> complex:
+    """The float trace: the leading diagonal as the starting columns,
+    then the sectors, each column from the head's product through the
+    middle to the tail's, or the dense column blocks with one sector."""
+    start, folded = earlier_leading_diagonal(n, m, steps)
+    steps = steps[folded:]
+    order, sizes = earlier_sectors(n, m, steps)
+    dim = n ** m
+    if len(sizes) == 1:
+        steps = tensors._fuse(n, steps, lambda op: op.cols)
+        block = np.diag(start)
+        for op, first in steps:
+            block = np.matmul(op._a, block.reshape(n ** first, op.cols, -1)).reshape(-1, dim)
+        return complex(np.trace(block))
+    steps = tensors._fuse(n, steps, tensors._block_cost)
+    packed = earlier_pack(sizes)
+    head, middle, tail = earlier_ends(n, steps)
+    chain, (first, _), (last, _) = tensors._block_chain(n, m, middle, order, packed)
+    head_row, head_shift, head_value, _ = earlier_end_operator(
+        n, m, [(op.transpose(), slot) for op, slot in reversed(head)], order)
+    tail_row, tail_shift, tail_value, pad = earlier_end_operator(n, m, tail, order)
+    tail_value[pad] = 0
+    total = 0j
+    o = 0
+    for p, size in enumerate(packed.tolist()):
+        width = max(1, tensors._SECTOR_BLOCK_ENTRIES // size)
+        for c0 in range(0, size, width):
+            c1 = min(c0 + width, size)
+            w = c1 - c0
+            x = np.zeros((size, w), dtype=complex)
+            states = order[o + c0:o + c1, None]
+            cols = np.arange(w)[:, None]
+            r = head_row[o + c0:o + c1]
+            x[first[head_shift[r] + states], cols] = head_value[r] * start[states]
+            x = tensors._run_chain(chain, p, o, x, np.empty_like(x))
+            r = tail_row[o + c0:o + c1]
+            total += complex((x[last[tail_shift[r] + states], cols] * tail_value[r]).sum())
+        o += size
+    return total

@@ -2,10 +2,13 @@
 
 import math
 import random
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ybtk.catalog import fixture
 from ybtk.errors import SingularMatrixError, StrandLimitError
@@ -18,12 +21,20 @@ from ybtk.invariants import (
     tangle_eval,
     turaev,
 )
+from ybtk.invariants import _transposed_letters
 from ybtk.rmatrix import braid_forms, enhance
 from ybtk.scalars import Field, exact_tag, float_tag
 from ybtk import tensors
 from ybtk.tensors import Mat, Tensor4, embed, slot_trace, yb_sides
 
 from helpers import (
+    earlier_block_order,
+    earlier_end_operator,
+    earlier_ends,
+    earlier_leading_diagonal,
+    earlier_sectors,
+    earlier_slot_trace,
+    earlier_slots,
     entrywise_lift13,
     flip_yb_sides,
     kron_braid_rep,
@@ -189,17 +200,7 @@ def test_tangle_cap_raises_before_allocating():
 
 
 # ---------------------------------------------------------------------------
-# the slot trace: dense blocks inline, sector blocks on the pool, and exact
-
-
-@pytest.fixture
-def two_workers(monkeypatch):
-    """A fresh pool of two threads, whatever the host's core count."""
-    monkeypatch.setattr(tensors, "_WORKERS", 2)
-    monkeypatch.setattr(tensors, "_POOL", None)
-    yield
-    if tensors._POOL is not None:
-        tensors._POOL.shutdown()
+# the slot trace: float blocks on the calling thread, and exact
 
 
 def kron_power(mu: Mat, m: int) -> Mat:
@@ -217,7 +218,7 @@ def sl2_float_input():
 
 
 @pytest.mark.parametrize("n,m", [(2, 9), (3, 6)])
-def test_float_turaev_over_several_blocks_matches_kron_reference(two_workers, n, m):
+def test_float_turaev_over_several_blocks_matches_kron_reference(n, m):
     assert n ** (2 * m) > tensors._BLOCK_ENTRIES
     rng = random.Random(600 + n)
     s, mu = rand_pair(rng, C, n)
@@ -246,24 +247,22 @@ def dense_float_input():
 
 
 # sl2_float_input takes the weight-sector path, dense_float_input the dense one
-def test_float_slot_trace_repeats_bitwise(two_workers):
+def test_float_slot_trace_repeats_bitwise():
     word = full_word(random.Random(800), 9, 12)
     for inp in (sl2_float_input(), dense_float_input()):
         assert turaev(inp, word) == turaev(inp, word)
 
 
-def test_one_worker_runs_inline_with_the_same_value(two_workers, monkeypatch):
+def test_float_sector_trace_starts_no_thread(monkeypatch):
     inputs = [sl2_float_input(), dense_float_input()]
     word = full_word(random.Random(900), 9, 12)
-    pooled = [turaev(inp, word) for inp in inputs]
-    monkeypatch.setattr(tensors, "_WORKERS", 1)
-    monkeypatch.setattr(tensors, "_executor", lambda: pytest.fail("the pool was used"))
-    for inp, want in zip(inputs, pooled):
-        assert abs(turaev(inp, word) - want) <= 1e-12 * max(1.0, abs(want))
+    want = [turaev_reference(inp, word) for inp in inputs]
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread was started"))
+    for inp, value in zip(inputs, want):
+        assert_close(turaev(inp, word), value)
 
 
-def test_dense_float_blocks_run_inline_and_repeat_bitwise(two_workers, monkeypatch):
-    monkeypatch.setattr(tensors, "_executor", lambda: pytest.fail("the pool was used"))
+def test_dense_float_blocks_run_inline_and_repeat_bitwise(monkeypatch):
     monkeypatch.setattr(tensors, "_sector_trace", lambda *a: pytest.fail("the sector path ran"))
     blocks = []
     column_blocks = tensors._column_blocks
@@ -285,11 +284,11 @@ def test_dense_float_blocks_run_inline_and_repeat_bitwise(two_workers, monkeypat
     assert blocks == [2 ** m] * 4
 
 
-def test_float_turaev_holds_no_dense_state(two_workers):
+def test_float_turaev_holds_no_dense_state():
     # one 2^11 x 2^11 complex state alone is 64 MB, at m = 12 256 MB
     for inp, m in [(sl2_float_input(), 11), (sl2_float_input(), 12), (dense_float_input(), 11)]:
         word = full_word(random.Random(1000), m, 25)
-        turaev(inp, BraidWord(m, word.letters[:1]))  # start the pool outside the measurement
+        turaev(inp, BraidWord(m, word.letters[:1]))  # fill the per-support caches outside the measurement
         tracemalloc.start()
         try:
             turaev(inp, word)
@@ -336,7 +335,7 @@ def sectors_only(monkeypatch):
 # family 9 keeps only a Z/2 parity
 @pytest.mark.parametrize("fid,block", [(7, 1 << 15), (7, 1 << 10), (2, 1 << 15), (9, 1 << 15)],
                          ids=["family7", "family7_split_sectors", "family2", "family9_parity"])
-def test_catalog_sector_trace_matches_kron_reference(two_workers, monkeypatch, fid, block):
+def test_catalog_sector_trace_matches_kron_reference(monkeypatch, fid, block):
     inp = float_family_pair(fid)
     word = rand_word(random.Random(1100), 9, 12)
     want = turaev_reference(inp, word)
@@ -345,7 +344,7 @@ def test_catalog_sector_trace_matches_kron_reference(two_workers, monkeypatch, f
     assert_close(turaev(inp, word), want)
 
 
-def test_sl3_sector_trace_matches_kron_reference(two_workers, monkeypatch):
+def test_sl3_sector_trace_matches_kron_reference(monkeypatch):
     s, _ = braid_forms(Tensor4(3, sl_n_r(Q, 3).mat.evaluate({"q": complex(0.9, 0.4)}, C)))
     # the sectors are the digit contents (a, b, c), of m! / (a! b! c!) states each
     sizes = tensors._sectors(3, 6, every_slot(s.mat, 3, 6))[1]
@@ -360,7 +359,7 @@ def test_sl3_sector_trace_matches_kron_reference(two_workers, monkeypatch):
     assert_close(turaev(inp, word), want)
 
 
-def test_tiny_sectors_are_packed_into_few_blocks(two_workers, monkeypatch):
+def test_tiny_sectors_are_packed_into_few_blocks(monkeypatch):
     # a diagonal braiding links no states: 2^9 sectors of one state each
     rng = random.Random(1200)
     d = [complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)) for _ in range(4)]
@@ -368,18 +367,21 @@ def test_tiny_sectors_are_packed_into_few_blocks(two_workers, monkeypatch):
     inp = InvariantInput(s, Mat.from_rows(C, [[1.2, 0], [0, 0.8j]]), C.one, C.one)
     word = rand_word(rng, 9, 12)
     want = turaev_reference(inp, word)
-    tasks = []
-    map_blocks = tensors._map_blocks
-    monkeypatch.setattr(tensors, "_map_blocks", lambda fn, t: tasks.append(len(t)) or map_blocks(fn, t))
+    packs = []
+    pack = tensors._pack
+    monkeypatch.setattr(tensors, "_pack", lambda sizes, entries: packs.append(
+        (len(sizes), entries, len(pack(sizes, entries)))) or pack(sizes, entries))
     sectors_only(monkeypatch)
     assert_close(turaev(inp, word), want)
     assert len(tensors._sectors(2, 9, every_slot(s.mat, 2, 9))[1]) == 2 ** 9
-    assert 1 < tasks[0] <= 4
+    # the whole space's 2^9 sectors become a few packed sectors, each one task
+    [(sectors, entries, packed)] = [p for p in packs if p[0] == 2 ** 9]
+    assert entries == tensors._SECTOR_BLOCK_ENTRIES and 1 < packed <= 4
 
 
 @pytest.mark.parametrize("n,m,graded", [(2, 9, True), (2, 9, False), (3, 6, False)],
                          ids=["weight_mixing_mu", "ungraded_n2", "ungraded_n3"])
-def test_one_sector_keeps_the_dense_path(two_workers, monkeypatch, n, m, graded):
+def test_one_sector_keeps_the_dense_path(monkeypatch, n, m, graded):
     monkeypatch.setattr(tensors, "_sector_trace", lambda *a: pytest.fail("the sector path ran"))
     assert n ** (2 * m) > tensors._BLOCK_ENTRIES
     rng = random.Random(1400 + n)
@@ -413,7 +415,7 @@ def test_sectors_of_the_catalog(m):
             assert tensors._sectors(n, m, every_slot(op, n, m))[1].tolist() == [n ** m]
 
 
-def test_a_skipped_generator_splits_the_sectors(two_workers, monkeypatch):
+def test_a_skipped_generator_splits_the_sectors(monkeypatch):
     # family 7 keeps the weight of every run of strands that no letter
     # crosses: without s4 on 8 strands, the weights of strands 1-4 and 5-8
     inp = float_family_pair(7)
@@ -543,7 +545,7 @@ BLOCK_TRACE_INPUTS = {
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_TRACE_INPUTS))
-def test_block_trace_matches_kron_reference(two_workers, monkeypatch, name):
+def test_block_trace_matches_kron_reference(monkeypatch, name):
     make, m, skip, block = BLOCK_TRACE_INPUTS[name]
     inp = make()
     rng = random.Random(2700)
@@ -561,7 +563,8 @@ def test_block_trace_matches_kron_reference(two_workers, monkeypatch, name):
 
 # (input, strands, the generators a word uses, letters, sector block entries)
 HEAD_TAIL_INPUTS = {
-    # every step of a word on 8 of 9 slots fits the head's window
+    # every step of a word on 8 of 9 slots, and mu on the ninth, which no
+    # letter reaches, fit the two ends' windows
     "empty_middle": (lambda: float_family_pair(7), 9, range(1, 8), 27, 1 << 15),
     "shared_slots": (lambda: float_family_pair(7), 9, range(1, 9), 27, 1 << 15),
     # longer words leave steps to the middle
@@ -577,7 +580,7 @@ HEAD_TAIL_INPUTS = {
 
 
 @pytest.mark.parametrize("name", sorted(HEAD_TAIL_INPUTS))
-def test_head_and_tail_match_kron_reference(two_workers, monkeypatch, name):
+def test_head_and_tail_match_kron_reference(monkeypatch, name):
     make, m, gens, count, block = HEAD_TAIL_INPUTS[name]
     inp = make()
     n = inp.n
@@ -601,7 +604,7 @@ def test_head_and_tail_match_kron_reference(two_workers, monkeypatch, name):
     assert len(chains[0]) < len(fused[0])
     assert max(n ** len(head), n ** len(tail)) <= tensors._END_DIGITS
     if name == "empty_middle":
-        assert chains[0] == [] and tail == set()
+        assert chains[0] == [] and 8 in head | tail
     elif name == "shared_slots":
         assert head & tail
     elif name in ("sl3", "sl4"):
@@ -610,14 +613,14 @@ def test_head_and_tail_match_kron_reference(two_workers, monkeypatch, name):
         assert chains[0]
 
 
-def test_block_trace_memory(two_workers):
-    # per worker two 2^15-entry buffers and its task's scatter indices, the
+def test_block_trace_memory():
+    # the trace's two 2^15-entry buffers and a task's scatter indices, the
     # middle's int32 gathers of n^m rows, and the head's and tail's tables:
     # per window digit a row of its largest window sector, at most 2^8 x 70
     # entries of a complex value and an int64 shift each
     inp = float_family_pair(7)
     word = full_word(random.Random(2200), 12, 30)
-    turaev(inp, BraidWord(12, word.letters[:1]))  # start the pool outside the measurement
+    turaev(inp, BraidWord(12, word.letters[:1]))  # fill the per-support caches outside the measurement
     tracemalloc.start()
     try:
         turaev(inp, word)
@@ -666,7 +669,7 @@ def fusion_words(m):
 
 
 @pytest.mark.parametrize("name", sorted(FUSION_INPUTS))
-def test_fused_trace_matches_unfused_trace(two_workers, monkeypatch, name):
+def test_fused_trace_matches_unfused_trace(monkeypatch, name):
     make, m = FUSION_INPUTS[name]
     inp = make()
     words = fusion_words(m)
@@ -746,3 +749,131 @@ def test_fusion_leaves_factor_changes_and_n1_alone():
     steps = [(one, 0), (one, 1), (one, 0)]
     assert tensors._fuse(1, steps, tensors._block_cost) is steps
     assert slot_trace(C, 1, 3, steps) == 8
+
+
+# ---------------------------------------------------------------------------
+# the plan helpers against their earlier versions (tests/helpers.py)
+
+
+@st.composite
+def sparse_plans(draw):
+    """``(n, m, steps, rng)``: leading one-slot diagonal steps, then steps
+    of a few random sparse operators on one to three slots, shared by
+    several steps, and a scaled copy of one of them (the same support)."""
+    n = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(3, 6) if n == 2 else st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    widths = [1, 2, 3] if n == 2 else [1, 2]
+    ops = [rand_block_op(rng, n, int(rng.choice(widths))) for _ in range(3)]
+    ops.append(Mat(C, ops[0].rows, ops[0].cols, ops[0]._a * 1.5j))
+    steps = []
+    for _ in range(draw(st.integers(0, m + 2))):
+        d = rng.normal(size=n) + 1j * rng.normal(size=n)
+        steps.append((Mat(C, n, n, np.diag(d)), int(rng.integers(m))))
+    for _ in range(draw(st.integers(0, 12))):
+        op = ops[int(rng.integers(len(ops)))]
+        width = tensors._slots(n, op)
+        steps.append((op, int(rng.integers(m - width + 1))))
+    return n, m, steps, rng
+
+
+PLANS = settings(max_examples=40, deadline=None)
+
+
+@PLANS
+@given(sparse_plans())
+def test_slots_and_block_order_match_their_earlier_versions(plan):
+    n, _, steps, _ = plan
+    for op, _ in steps:
+        assert tensors._slots(n, op) == earlier_slots(n, op)
+        got, want = tensors._block_order(op), earlier_block_order(op)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert [(lo, hi) for lo, hi, _ in got[2]] == [(lo, hi) for lo, hi, _ in want[2]]
+        assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(got[2], want[2]))
+
+
+@PLANS
+@given(sparse_plans())
+def test_sectors_match_their_earlier_version(plan):
+    n, m, steps, _ = plan
+    got, want = tensors._sectors(n, m, steps), earlier_sectors(n, m, steps)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+@PLANS
+@given(sparse_plans())
+def test_folded_diagonal_keeps_the_earlier_starting_columns(plan):
+    # the earlier helper made the leading diagonal steps the starting
+    # columns diag(start); the folded steps build the same product
+    n, m, steps, _ = plan
+    start, count = earlier_leading_diagonal(n, m, steps)
+    want = Mat(C, n ** m, n ** m, np.diag(start)).apply_slots(n, steps[count:])
+    folded = tensors._fold_diagonal(C, n, steps)
+    assert len(folded) <= len(steps) - count + m
+    assert Mat.identity(C, n ** m).apply_slots(n, folded).compare(want)[1] <= 1e-12
+
+
+@PLANS
+@given(sparse_plans())
+def test_ends_rotate_and_cover_at_least_the_earlier_ends(plan):
+    n, m, steps, rng = plan
+    steps = tensors._fold_diagonal(C, n, steps)
+    # windows of one to three slots, so that the middle is not always empty
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensors, "_END_DIGITS", n ** int(rng.integers(1, 4)))
+        head, middle, tail = tensors._ends(n, steps)
+        old = earlier_ends(n, steps)
+        window = tensors._END_DIGITS
+    turned = head + middle + tail
+    r = next(r for r in range(max(1, len(steps))) if turned == steps[r:] + steps[:r])
+    assert len(middle) <= len(old[1])
+    if not old[1]:
+        assert r == 0 and (head, middle, tail) == old
+    for end in (head, tail):
+        slots = {first + i for op, first in end for i in range(tensors._slots(n, op))}
+        assert n ** len(slots) <= window
+    eye = Mat.identity(C, n ** m)
+    want = eye.apply_slots(n, steps).trace()
+    assert abs(eye.apply_slots(n, turned).trace() - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@PLANS
+@given(sparse_plans())
+def test_end_operator_matches_its_earlier_tables(plan):
+    n, m, steps, rng = plan
+    steps = [(op, first) for op, first in steps if op.cols > n] or steps
+    order, _ = tensors._sectors(n, m, steps)
+    # any prefix that fits a window, on states in any order
+    head = tensors._ends(n, steps)[0]
+    states = rng.permutation(order)
+    got = tensors._end_operator(n, m, head, states)
+    want = earlier_end_operator(n, m, head, states)
+    for a, b in zip(got[:2] + got[3:], want[:2] + want[3:]):
+        assert np.array_equal(a, b)
+    assert np.abs(got[2] - want[2]).max(initial=0) <= 1e-12 * max(1.0, np.abs(want[2]).max(initial=0))
+
+
+# (input, strands, letters); family 9's enhanced mu makes every trace
+# vanish, so its S is traced against another diagonal mu
+EARLIER_TRACE_INPUTS = {
+    "family2": (lambda: float_family_pair(2), 10, 28),
+    "family7": (lambda: float_family_pair(7), 10, 28),
+    "family9": (lambda: InvariantInput(float_family_pair(9).s, Mat.from_rows(C, [[1.2, 0], [0, 0.7 - 0.3j]]),
+                                       C.one, C.one), 10, 28),
+    "sl3": (lambda: sl_float_input(3), 6, 18),
+    "sl4": (lambda: sl_float_input(4), 5, 15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EARLIER_TRACE_INPUTS))
+def test_float_traces_match_the_earlier_trace(name):
+    make, m, count = EARLIER_TRACE_INPUTS[name]
+    inp = make()
+    rng = random.Random(2900)
+    for _ in range(4):
+        word = full_word(rng, m, count)
+        steps = [(inp.mu.transpose(), j) for j in range(m)] + _transposed_letters(inp.s, word, 12)
+        got = slot_trace(C, inp.n, m, steps)
+        assert slot_trace(C, inp.n, m, steps) == got  # bitwise
+        want = earlier_slot_trace(inp.n, m, steps)
+        assert abs(got - want) <= 1e-12 * abs(want), word
